@@ -243,9 +243,10 @@ BENCHMARK(BM_SlidingWindowObserve);
 }  // namespace
 
 // BENCHMARK_MAIN, plus an optional metrics dump: when ACTG_METRICS_CSV
-// names a file, the accumulated runtime counters and stage timers of the
-// whole run (guard.dnf_fallbacks, cache hits, stage.* wall clocks) are
-// written there as CSV. CI uploads it as the perf artifact.
+// names a file, the accumulated runtime counters of the whole run
+// (guard.dnf_fallbacks, cache hits, ...) are written there as CSV. CI
+// uploads it as the perf artifact. Per-stage wall clock is in the
+// --trace export's spans.
 int main(int argc, char** argv) {
   // --trace is ours, not google-benchmark's: strip it (and install the
   // session) before Initialize sees argv.

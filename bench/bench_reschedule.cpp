@@ -78,8 +78,6 @@ struct ModeResult {
   double p99_us = 0.0;
   double compute_p50_us = 0.0;
   double compute_p99_us = 0.0;
-  double dls_ms = 0.0;      ///< accumulated stage.dls (wall-clock)
-  double stretch_ms = 0.0;  ///< accumulated stage.stretch (wall-clock)
   adaptive::TierCounts tiers;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -95,9 +93,6 @@ ModeResult RunMode(const ctg::Ctg& graph,
                    const dvfs::ScheduleTable* table, std::size_t steps) {
   runtime::Metrics metrics;
   runtime::ScheduleCache cache(runtime::ScheduleCacheOptions{}, &metrics);
-  // stage.dls / stage.stretch accumulate into the global registry;
-  // reset it so each mode's breakdown is isolated.
-  runtime::Metrics::Global().Reset();
 
   adaptive::ReschedulerConfig config;
   config.cache = runtime::CacheBinding{&cache, 0};
@@ -122,8 +117,6 @@ ModeResult RunMode(const ctg::Ctg& graph,
       metrics.quantile("reschedule.compute_latency_us", 0.5);
   result.compute_p99_us =
       metrics.quantile("reschedule.compute_latency_us", 0.99);
-  result.dls_ms = runtime::Metrics::Global().timer_ms("stage.dls");
-  result.stretch_ms = runtime::Metrics::Global().timer_ms("stage.stretch");
   result.tiers = rescheduler.tier_counts();
   result.cache_hits = cache.hits();
   result.cache_misses = cache.misses();
@@ -221,8 +214,7 @@ int main(int argc, char** argv) {
                 << " us  tiers e/wc/wp/t/f " << r.tiers.exact << "/"
                 << r.tiers.warm_cache << "/" << r.tiers.warm_prior << "/"
                 << r.tiers.table << "/" << r.tiers.full << " (fallbacks "
-                << r.tiers.incremental_fallbacks << ")  dls "
-                << r.dls_ms << " ms  stretch " << r.stretch_ms << " ms\n";
+                << r.tiers.incremental_fallbacks << ")\n";
     }
     const double full_p50 = results[0].compute_p50_us;
     const double inc_p50 = results[1].compute_p50_us;

@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
         }
 
         const auto t0 = Clock::now();
-        const sched::Schedule online =
-            dvfs::RunOnlineAlgorithm(graph, analysis, platform, probs);
+        const sched::Schedule online = dvfs::RunWithPolicy(
+            "online", graph, analysis, platform, probs);
         const auto t1 = Clock::now();
         const sched::Schedule ref2 =
             dvfs::RunReference2(graph, analysis, platform, probs);

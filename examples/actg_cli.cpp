@@ -198,7 +198,7 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   const auto profile = vectors.ProfiledProbabilities(graph);
 
   const sched::Schedule online =
-      dvfs::RunOnlineAlgorithm(graph, analysis, platform, profile);
+      dvfs::RunWithPolicy("online", graph, analysis, platform, profile);
 
   if (!flags.plan_path.has_value()) {
     // The fault-free path: unchanged output, byte for byte.

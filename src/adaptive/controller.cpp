@@ -120,7 +120,7 @@ sched::Schedule AdaptiveController::Reschedule(
   return rescheduler_->Reschedule(in_use_, request, TraceTarget()).schedule;
 }
 
-void AdaptiveController::RecordTimeline(
+void AdaptiveController::EmitTimeline(
     obs::TraceSession& trace,
     const ctg::BranchAssignment& assignment) const {
   // One row per PE: the Gantt occupancy (active tasks, scaled busy
@@ -168,7 +168,7 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
 
   // Timeline rows describe the schedule the instance just executed
   // with, before any adaptation below replaces it.
-  if (trace != nullptr) RecordTimeline(*trace, assignment);
+  if (trace != nullptr) EmitTimeline(*trace, assignment);
 
   profiler_.ObserveInstance(*analysis_, assignment);
 

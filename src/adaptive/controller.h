@@ -125,11 +125,12 @@ struct AdaptiveOptions {
   /// warm-start incremental DLS, or precomputed-table selection (see
   /// adaptive::RescheduleOptions / the Rescheduler facade).
   RescheduleOptions reschedule;
-  /// Metrics registry the controller reports its stage timers and
-  /// counters into; nullptr (the default) means the process-wide
+  /// Metrics registry the controller reports its counters and latency
+  /// distributions into; nullptr (the default) means the process-wide
   /// runtime::Metrics::Global(). A multi-tenant host passes its own
   /// registry so thousands of coexisting controllers do not funnel
-  /// through — or pollute — process-global state.
+  /// through — or pollute — process-global state. Per-stage wall-clock
+  /// time is recorded as obs spans on options.trace, not as metrics.
   runtime::Metrics* metrics = nullptr;
   /// Graceful-degradation ladder (off by default; see DegradeOptions).
   DegradeOptions degrade;
@@ -240,8 +241,8 @@ class AdaptiveController {
   /// The metrics registry this controller reports into (explicit or
   /// the process-wide Global()).
   runtime::Metrics& MetricsTarget() const;
-  void RecordTimeline(obs::TraceSession& trace,
-                      const ctg::BranchAssignment& assignment) const;
+  void EmitTimeline(obs::TraceSession& trace,
+                    const ctg::BranchAssignment& assignment) const;
   /// Applies one instance's outcome to the degradation ladder. Returns
   /// true when the ladder changed the running schedule (the normal
   /// threshold adaptation then skips this instance).

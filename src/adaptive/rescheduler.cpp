@@ -396,8 +396,6 @@ void Rescheduler::RememberBasis(const ctg::BranchProbabilities& probs,
 RescheduleResult Rescheduler::Reschedule(
     const ctg::BranchProbabilities& probs, const RescheduleRequest& req,
     obs::TraceSession* trace) {
-  const runtime::ScopedTimer stage_timer(MetricsTarget(),
-                                         "stage.reschedule");
   obs::ScopedSpan span(trace, "adaptive.reschedule", "adaptive");
   const auto begin = std::chrono::steady_clock::now();
   // Degraded requests (restricted PEs and/or a speed floor) bypass the

@@ -170,7 +170,12 @@ struct ReschedulerConfig {
   /// Optional schedule memoization (cache + tenant in one value).
   runtime::CacheBinding cache;
   RescheduleOptions reschedule;
-  /// Metrics registry; nullptr means runtime::Metrics::Global().
+  /// Registry for the tier counters and latency distributions; nullptr
+  /// means runtime::Metrics::Global(). The stages below the facade
+  /// (DLS, path enumeration, stretch) record obs spans, not metrics;
+  /// the one exception is the process-wide "guard.dnf_fallbacks"
+  /// counter (ctg::CountDnfFallback), bumped only for graphs whose
+  /// guards do not fit the bitset encoding.
   runtime::Metrics* metrics = nullptr;
   /// Oracle-check every freshly computed schedule (see
   /// AdaptiveOptions::validate_schedules).

@@ -36,13 +36,6 @@ sched::Schedule RunWithPolicy(std::string_view policy,
                           probs, options);
 }
 
-sched::Schedule RunOnlineAlgorithm(const ctg::Ctg& graph,
-                                   const ctg::ActivationAnalysis& analysis,
-                                   const arch::Platform& platform,
-                                   const ctg::BranchProbabilities& probs) {
-  return RunWithPolicy("online", graph, analysis, platform, probs);
-}
-
 sched::Schedule RunReference1(const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,

@@ -39,20 +39,15 @@ struct PolicyRunOptions {
 };
 
 /// Generic pipeline: modified DLS followed by the named stretch policy
-/// from the registry (see policy.h). The three Run* wrappers below are
-/// thin aliases over this.
+/// from the registry (see policy.h). The paper's online algorithm is
+/// RunWithPolicy("online", ...); the two reference wrappers below pin
+/// the reference algorithms' scheduler configurations.
 sched::Schedule RunWithPolicy(std::string_view policy,
                               const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,
                               const ctg::BranchProbabilities& probs,
                               const PolicyRunOptions& options = {});
-
-/// The paper's online algorithm: modified DLS + stretching heuristic.
-sched::Schedule RunOnlineAlgorithm(const ctg::Ctg& graph,
-                                   const ctg::ActivationAnalysis& analysis,
-                                   const arch::Platform& platform,
-                                   const ctg::BranchProbabilities& probs);
 
 /// Reference Algorithm 1 [10]: ordering-only on a round-robin mapping,
 /// probability- and mutual-exclusion-blind throughout.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::dvfs {
@@ -56,9 +55,6 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
                            bool drop_unrealizable) {
   ACTG_CHECK(&schedule.graph() == graph_,
              "Enumerate requires a schedule over the engine's graph");
-  const runtime::ScopedTimer timer(runtime::Metrics::Global(),
-                                   "stage.path_enum");
-  runtime::Metrics::Global().Increment("engine.enumerations");
   obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.enumerate",
                        "dvfs");
 
@@ -96,7 +92,6 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
     nominal_state_[i] = {paths_[i].delay_ms, paths_[i].unlocked_ms};
   }
   ++enumeration_id_;
-  runtime::Metrics::Global().Increment("engine.paths", paths_.size());
   if (span.enabled()) {
     span.AddArg(obs::IntArg("paths",
                             static_cast<std::int64_t>(paths_.size())));
@@ -254,7 +249,6 @@ void PathEngine::CommitTask(TaskId task, double extra_ms,
 }
 
 void PathEngine::RewindCommits() {
-  runtime::Metrics::Global().Increment("engine.rewinds");
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     paths_[i].delay_ms = nominal_state_[i].first;
     paths_[i].unlocked_ms = nominal_state_[i].second;

@@ -23,18 +23,6 @@ std::uint64_t Metrics::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-void Metrics::RecordTime(const std::string& name, std::int64_t ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  timer_ns_[name] += ns;
-}
-
-double Metrics::timer_ms(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = timer_ns_.find(name);
-  return it == timer_ns_.end() ? 0.0
-                               : static_cast<double>(it->second) * 1e-6;
-}
-
 void Metrics::Observe(const std::string& name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   observations_[name].push_back(value);
@@ -70,24 +58,12 @@ std::map<std::string, std::uint64_t> Metrics::Counters() const {
   return counters_;
 }
 
-std::map<std::string, double> Metrics::TimersMs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [name, ns] : timer_ns_) {
-    out[name] = static_cast<double>(ns) * 1e-6;
-  }
-  return out;
-}
-
 void Metrics::MergeFrom(const Metrics& other) {
   ACTG_CHECK(this != &other, "Metrics::MergeFrom: cannot merge a registry "
                              "into itself");
   std::scoped_lock lock(mu_, other.mu_);
   for (const auto& [name, value] : other.counters_) {
     counters_[name] += value;
-  }
-  for (const auto& [name, ns] : other.timer_ns_) {
-    timer_ns_[name] += ns;
   }
   for (const auto& [name, samples] : other.observations_) {
     auto& mine = observations_[name];
@@ -98,16 +74,12 @@ void Metrics::MergeFrom(const Metrics& other) {
 void Metrics::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
-  timer_ns_.clear();
   observations_.clear();
 }
 
 void Metrics::WriteText(std::ostream& os) const {
   for (const auto& [name, value] : Counters()) {
     os << name << " " << value << "\n";
-  }
-  for (const auto& [name, ms] : TimersMs()) {
-    os << name << "_ms " << ms << "\n";
   }
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, samples] : observations_) {
@@ -121,9 +93,6 @@ void Metrics::WriteCsv(std::ostream& os) const {
   os << "metric,kind,value\n";
   for (const auto& [name, value] : Counters()) {
     os << name << ",counter," << value << "\n";
-  }
-  for (const auto& [name, ms] : TimersMs()) {
-    os << name << ",timer_ms," << ms << "\n";
   }
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, samples] : observations_) {

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "obs/trace.h"
-#include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::sched {
@@ -90,8 +89,6 @@ Schedule RunDls(const ctg::Ctg& graph,
                 const arch::Platform& platform,
                 const ctg::BranchProbabilities& probs,
                 const DlsOptions& options, DlsWorkspace* workspace) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.dls");
   options.Validate().ThrowIfError();
   const std::size_t n = graph.task_count();
   obs::ScopedSpan span(obs::TraceSession::Current(), "sched.dls", "sched");

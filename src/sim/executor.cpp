@@ -128,8 +128,6 @@ void RunSummary::Add(const InstanceResult& r) {
 
 RunSummary RunTrace(const sched::Schedule& schedule,
                     const trace::BranchTrace& trace) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.sim");
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(
@@ -145,8 +143,6 @@ RunSummary RunTrace(const sched::Schedule& schedule,
 RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
                               const trace::BranchTrace& trace,
                               const faults::Injector& injector) {
-  const runtime::ScopedTimer stage_timer(runtime::Metrics::Global(),
-                                         "stage.sim");
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(

@@ -94,23 +94,10 @@ std::map<std::string, std::uint64_t> ReportedCounters(
 void WriteMetricsReport(std::ostream& os,
                         const runtime::Metrics& metrics) {
   const auto counters = ReportedCounters(metrics);
-  const auto timers = metrics.TimersMs();
   if (!counters.empty()) {
     util::TablePrinter table({"counter", "value"});
     for (const auto& [name, value] : counters) {
       table.BeginRow().Cell(name).Cell(value);
-    }
-    table.Print(os);
-  }
-  if (!timers.empty()) {
-    util::TablePrinter table({"stage", "total ms", "calls", "ms/call"});
-    for (const auto& [name, ms] : timers) {
-      const std::uint64_t calls = metrics.counter(name + ".calls");
-      table.BeginRow()
-          .Cell(name)
-          .Cell(ms, 2)
-          .Cell(calls)
-          .Cell(calls == 0 ? 0.0 : ms / static_cast<double>(calls), 4);
     }
     table.Print(os);
   }
@@ -122,9 +109,6 @@ void WriteMetricsCsv(std::ostream& os, const runtime::Metrics& metrics) {
   os << "metric,kind,value\n";
   for (const auto& [name, value] : ReportedCounters(metrics)) {
     os << name << ",counter," << value << "\n";
-  }
-  for (const auto& [name, ms] : metrics.TimersMs()) {
-    os << name << ",timer_ms," << ms << "\n";
   }
 }
 

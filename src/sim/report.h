@@ -49,11 +49,10 @@ ScheduleReport BuildReport(const sched::Schedule& schedule,
 /// Renders the report as an aligned table.
 void WriteReport(std::ostream& os, const ScheduleReport& report);
 
-/// Renders a runtime metrics registry as an aligned table: counters
-/// first, then the per-stage wall-clock timers with mean cost per call.
-/// Counter values are deterministic for a fixed workload; timer values
-/// are wall-clock and vary run to run (keep them out of outputs that
-/// must be reproducible bit-for-bit).
+/// Renders a runtime metrics registry's counters as an aligned table.
+/// Counter values are deterministic for a fixed workload. Per-stage
+/// wall-clock time is not here: it is the duration of the stage's obs
+/// span (see obs/trace.h).
 void WriteMetricsReport(std::ostream& os,
                         const runtime::Metrics& metrics);
 

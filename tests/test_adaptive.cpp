@@ -5,6 +5,7 @@
 #include "adaptive/controller.h"
 #include "apps/common.h"
 #include "dvfs/stretch.h"
+#include "runtime/metrics.h"
 #include "apps/fig1_example.h"
 #include "sim/energy.h"
 #include "tgff/random_ctg.h"
@@ -58,6 +59,24 @@ TEST_F(AdaptiveFixture, AdaptsWhenDistributionShifts) {
   EXPECT_GE(ctrl.reschedule_count(), 1u);
   EXPECT_NEAR(ctrl.in_use_probabilities().Outcome(ex_.tau(3), 0), 0.0,
               1e-12);
+}
+
+// The reentrancy contract: a controller with an injected registry
+// leaves the process-wide one untouched — through the initial schedule
+// (DLS, path enumeration, stretch) and every threshold reschedule.
+TEST_F(AdaptiveFixture, InjectedMetricsLeaveGlobalRegistryUntouched) {
+  const auto global_before = runtime::Metrics::Global().Counters();
+  runtime::Metrics mine;
+  AdaptiveOptions options;
+  options.window_length = 8;
+  options.threshold = 0.2;
+  options.metrics = &mine;
+  AdaptiveController ctrl(ex_.graph, analysis_, ex_.platform, ex_.probs,
+                          options);
+  for (int i = 0; i < 10; ++i) ctrl.ProcessInstance(Assign(1, 0));
+  EXPECT_GE(ctrl.reschedule_count(), 1u);
+  EXPECT_EQ(runtime::Metrics::Global().Counters(), global_before);
+  EXPECT_FALSE(mine.Counters().empty());
 }
 
 TEST_F(AdaptiveFixture, NoAdaptationWhenTraceMatchesProfile) {

@@ -12,7 +12,9 @@
 #include "check/validator.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
+#include "dvfs/path_engine.h"
 #include "dvfs/schedule_table.h"
+#include "dvfs/stretch.h"
 #include "runtime/metrics.h"
 #include "runtime/pool.h"
 #include "runtime/schedule_cache.h"
@@ -236,6 +238,51 @@ TEST(Rescheduler, EmptyDeltaWarmStartIsBitIdentical) {
   EXPECT_TRUE(SamePlacements(fc.graph, again.schedule, first.schedule));
   EXPECT_DOUBLE_EQ(again.stretch.max_path_delay_ms,
                    first.stretch.max_path_delay_ms);
+}
+
+// The delta re-enumeration fast path at the stretcher level: a warm
+// stretch that vouches for the engine's enumeration (same nominal
+// schedule, nothing dirty, the first stretch's speeds as seed) rewinds
+// the committed delays instead of re-running the path DFS, and replays
+// the seed bit for bit.
+TEST(WarmStretch, RewindReplaysSeedWithoutReenumerating) {
+  const FacadeCase fc;
+  const sched::Schedule nominal =
+      sched::RunDls(fc.graph, *fc.analysis, fc.platform, fc.base);
+  dvfs::PathEngine engine(fc.graph, *fc.analysis, fc.platform);
+
+  sched::Schedule first = nominal;
+  dvfs::StretchOnline(first, fc.base, {}, &engine);
+  const std::uint64_t enumeration = engine.enumeration_id();
+  ASSERT_NE(enumeration, 0u);
+
+  std::vector<double> seed_speed(fc.graph.task_count());
+  for (TaskId task : fc.graph.TaskIds()) {
+    seed_speed[static_cast<std::size_t>(task.index())] =
+        first.placement(task).speed_ratio;
+  }
+  const std::vector<char> dirty(fc.graph.task_count(), 0);
+  dvfs::StretchWarmStart warm;
+  warm.seed_speed = &seed_speed;
+  warm.dirty = &dirty;
+  warm.reuse_enumeration = true;
+
+  sched::Schedule second = nominal;
+  dvfs::StretchOnline(second, fc.base, {}, &engine, &warm);
+  EXPECT_EQ(engine.enumeration_id(), enumeration);
+  for (TaskId task : fc.graph.TaskIds()) {
+    EXPECT_EQ(second.placement(task).speed_ratio,
+              first.placement(task).speed_ratio)
+        << "task " << task.index();
+  }
+  EXPECT_TRUE(SamePlacements(fc.graph, second, first));
+
+  // Without the vouching flag the same warm start re-enumerates.
+  warm.reuse_enumeration = false;
+  sched::Schedule third = nominal;
+  dvfs::StretchOnline(third, fc.base, {}, &engine, &warm);
+  EXPECT_EQ(engine.enumeration_id(), enumeration + 1);
+  EXPECT_TRUE(SamePlacements(fc.graph, third, first));
 }
 
 // Oscillating operating points: every warm-started result must stay

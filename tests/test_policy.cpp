@@ -120,11 +120,6 @@ TEST_F(PolicyFixture, ApplyPolicyWithExplicitEngineMatchesTransient) {
 }
 
 TEST_F(PolicyFixture, RunWithPolicyMatchesNamedWrappers) {
-  const sched::Schedule generic = RunWithPolicy(
-      "online", ex_.graph, analysis_, ex_.platform, probs_);
-  const sched::Schedule wrapper =
-      RunOnlineAlgorithm(ex_.graph, analysis_, ex_.platform, probs_);
-  ExpectSameStretch(generic, wrapper);
   EXPECT_THROW(RunWithPolicy("nope", ex_.graph, analysis_, ex_.platform,
                              probs_),
                InvalidArgument);

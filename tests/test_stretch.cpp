@@ -149,8 +149,9 @@ TEST(AlgorithmOrdering, OnlineBeatsReference1Clearly) {
   double online_total = 0.0, ref1_total = 0.0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Pipeline pipe(seed, tgff::Category::kForkJoin, 1.3, 0.3);
-    const sched::Schedule online = RunOnlineAlgorithm(
-        pipe.rc.graph, pipe.analysis, pipe.rc.platform, pipe.probs);
+    const sched::Schedule online =
+        RunWithPolicy("online", pipe.rc.graph, pipe.analysis,
+                      pipe.rc.platform, pipe.probs);
     const sched::Schedule ref1 = RunReference1(
         pipe.rc.graph, pipe.analysis, pipe.rc.platform, pipe.probs);
     online_total += sim::ExpectedEnergy(online, pipe.probs);

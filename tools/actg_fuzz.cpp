@@ -19,11 +19,11 @@
 /// a CI run reproduces locally with --cases 1 --seed S --start INDEX.
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,10 +150,16 @@ int RunEmit(std::uint64_t count, const std::string& out_dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cases = cli::CountFlag(argc, argv, "--cases", 0);
-  const std::uint64_t seed = cli::SeedFlag(argc, argv, 1);
-  const auto start =
-      static_cast<std::uint64_t>(cli::CountFlag(argc, argv, "--start", 0));
+  std::size_t cases = 0;
+  std::uint64_t seed = 1;
+  std::uint64_t start = 0;
+  try {
+    cases = cli::CountFlag(argc, argv, "--cases", 0);
+    seed = cli::SeedFlag(argc, argv, 1);
+    start = cli::CountFlag(argc, argv, "--start", 0);
+  } catch (const InvalidArgument& e) {
+    return cli::Fail("actg_fuzz", e.what(), 2);
+  }
   const std::string out_dir = cli::StringFlag(argc, argv, "--out", ".");
   cli::TakeFlag(argc, argv, "--cases");
   cli::TakeFlag(argc, argv, "--seed");
@@ -179,8 +185,10 @@ int main(int argc, char** argv) {
       const char* n = next();
       const char* d = next();
       if (n == nullptr || d == nullptr) return Usage();
+      const std::optional<std::size_t> count = cli::ParseCount(n);
+      if (!count.has_value()) return Usage();
       emit = true;
-      emit_count = std::strtoull(n, nullptr, 10);
+      emit_count = *count;
       emit_dir = d;
     } else {
       cli::Fail("actg_fuzz", "unknown argument '" + arg + "'", 2);

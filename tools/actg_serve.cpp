@@ -8,8 +8,8 @@
 ///       write the deterministic fleet report to stdout (or --report).
 ///       The report is byte-identical for any --jobs value; wall-clock
 ///       latency percentiles per SLA class go to stderr, and --metrics
-///       dumps the full metrics registry (counters, stage timers,
-///       latency distributions) as text. --session-deadline arms the
+///       dumps the full metrics registry (counters and latency
+///       distributions) as text. --session-deadline arms the
 ///       cooperative watchdog: a session whose round slice outlives MS
 ///       wall-clock milliseconds is quarantined at its next event
 ///       boundary instead of stalling the round (off by default — an

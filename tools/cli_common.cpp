@@ -1,5 +1,6 @@
 #include "cli_common.h"
 
+#include <charconv>
 #include <iostream>
 
 #include "util/atomic_file.h"
@@ -29,7 +30,13 @@ std::size_t CountFlag(int argc, char** argv, std::string_view flag,
                       std::size_t fallback) {
   const std::optional<std::string> value = FindFlag(argc, argv, flag);
   if (!value.has_value()) return fallback;
-  return ParseCount(*value).value_or(fallback);
+  const std::optional<std::size_t> count = ParseCount(*value);
+  if (!count.has_value()) {
+    throw InvalidArgument(std::string(flag) +
+                          " wants a non-negative decimal count, got '" +
+                          *value + "'");
+  }
+  return *count;
 }
 
 std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback) {
@@ -37,15 +44,14 @@ std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback) {
       argc, argv, "--seed", static_cast<std::size_t>(fallback)));
 }
 
-std::optional<std::size_t> ParseCount(const std::string& token) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    if (used != token.size()) return std::nullopt;
-    return static_cast<std::size_t>(value);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+std::optional<std::size_t> ParseCount(std::string_view token) {
+  // from_chars into an unsigned type takes no sign and no whitespace,
+  // and reports overflow instead of wrapping.
+  std::size_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 std::optional<std::string> TakeFlag(int& argc, char** argv,

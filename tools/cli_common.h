@@ -38,18 +38,20 @@ std::optional<std::string> FindFlag(int argc, char** argv,
 std::string StringFlag(int argc, char** argv, std::string_view flag,
                        std::string fallback);
 
-/// Numeric FindFlag; \p fallback when absent or unparsable (the lenient
-/// semantics every bench always had).
+/// Numeric FindFlag; \p fallback when absent. A present value that
+/// ParseCount rejects throws InvalidArgument naming the flag
+/// ("--steps wants a non-negative decimal count, got '-1'") rather than
+/// silently running with the default.
 std::size_t CountFlag(int argc, char** argv, std::string_view flag,
                       std::size_t fallback);
 
 /// CountFlag("--seed") as a 64-bit seed.
 std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback);
 
-/// Strict non-negative integer parse of one token; nullopt on garbage
-/// or trailing characters (positional arguments, where a typo must not
-/// silently become a default).
-std::optional<std::size_t> ParseCount(const std::string& token);
+/// Strict non-negative integer parse of one token: decimal digits only,
+/// no sign, no surrounding whitespace, no overflow. nullopt otherwise
+/// (so "-1" can never wrap to 2^64-1).
+std::optional<std::size_t> ParseCount(std::string_view token);
 
 /// Removes the first `--flag value` / `--flag=value` from argv
 /// (compacting it) and returns the value; nullopt — and argv untouched
