@@ -1,10 +1,11 @@
 #include "campaign/checkpoint.h"
 
 #include <bit>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <utility>
+
+#include "util/text_reader.h"
 
 namespace actg::campaign {
 
@@ -40,55 +41,6 @@ void WriteHistogram(std::ostream& os, const Histogram& h) {
   for (std::size_t b = 0; b < h.bins(); ++b) os << " " << h.bin_count(b);
   os << "\n";
 }
-
-/// Line-oriented reader mirroring the campaign-v1 one, with
-/// "checkpoint line N: ..." diagnostics. Unlike the spec reader it only
-/// skips lines *starting* with '#' (qrec details may contain one).
-struct CheckpointReader {
-  std::istream& is;
-  int line_number = 0;
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("checkpoint line " +
-                          std::to_string(line_number) + ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const std::size_t first = line.find_first_not_of(" \t");
-      if (first == std::string::npos || line[first] == '#') continue;
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (tokens.empty()) continue;
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t U64(const std::string& token, int base = 10) const {
-    if (token.empty()) Fail("expected an integer, got an empty token");
-    const char* begin = token.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(begin, &end, base);
-    if (end != begin + token.size() || errno != 0 || token[0] == '-') {
-      Fail("expected an integer, got '" + token + "'");
-    }
-    return static_cast<std::uint64_t>(value);
-  }
-
-  std::size_t Count(const std::string& token) const {
-    return static_cast<std::size_t>(U64(token));
-  }
-
-  double Bits(const std::string& token) const {
-    return std::bit_cast<double>(U64(token, 16));
-  }
-};
 
 }  // namespace
 
@@ -149,19 +101,16 @@ namespace {
 
 CheckpointState LoadCheckpointImpl(std::istream& is,
                                    const CampaignSpec& spec) {
-  CheckpointReader reader{is};
+  util::TextReader reader(is, "checkpoint");
   std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "checkpoint" || tokens[1] != "v1") {
-    reader.Fail("expected header 'checkpoint v1' (version skew?)");
-  }
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
+  reader.Header("checkpoint v1", tokens);
+  if (!reader.Next(tokens) || tokens.size() != 2 ||
       tokens[0] != "fingerprint") {
     reader.Fail("expected 'fingerprint <hex>'");
   }
   {
     std::ostringstream got, want;
-    got << std::hex << reader.U64(tokens[1], 16);
+    got << std::hex << reader.Hex(tokens[1]);
     want << std::hex << FingerprintSpec(spec);
     if (got.str() != want.str()) {
       reader.Fail("spec fingerprint mismatch (checkpoint " + got.str() +
@@ -169,7 +118,7 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
                   "): this checkpoint belongs to a different campaign");
     }
   }
-  if (!reader.NextTokens(tokens) || tokens.size() != 8 ||
+  if (!reader.Next(tokens) || tokens.size() != 8 ||
       tokens[0] != "shards" || tokens[2] != "instances" ||
       tokens[4] != "cells" || tokens[6] != "bins") {
     reader.Fail("expected 'shards <S> instances <N> cells <C> bins <B>'");
@@ -187,7 +136,7 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
   const std::size_t cells = spec.CellCount();
 
   bool saw_end = false;
-  while (reader.NextTokens(tokens)) {
+  while (reader.Next(tokens)) {
     if (tokens[0] == "end") {
       saw_end = true;
       break;
@@ -214,22 +163,22 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
     }
     out.exec.oracle_validations = reader.Count(tokens[7]);
 
-    if (!reader.NextTokens(tokens) || tokens.size() != 7 ||
+    if (!reader.Next(tokens) || tokens.size() != 7 ||
         tokens[0] != "tiers") {
       reader.Fail("expected 'tiers <6 counters>'");
     }
-    out.exec.tiers.exact = reader.U64(tokens[1]);
-    out.exec.tiers.warm_cache = reader.U64(tokens[2]);
-    out.exec.tiers.warm_prior = reader.U64(tokens[3]);
-    out.exec.tiers.table = reader.U64(tokens[4]);
-    out.exec.tiers.full = reader.U64(tokens[5]);
-    out.exec.tiers.incremental_fallbacks = reader.U64(tokens[6]);
+    out.exec.tiers.exact = reader.Count(tokens[1]);
+    out.exec.tiers.warm_cache = reader.Count(tokens[2]);
+    out.exec.tiers.warm_prior = reader.Count(tokens[3]);
+    out.exec.tiers.table = reader.Count(tokens[4]);
+    out.exec.tiers.full = reader.Count(tokens[5]);
+    out.exec.tiers.incremental_fallbacks = reader.Count(tokens[6]);
 
     // qrec lines (0+), then exactly `cells` cell blocks.
     out.cells.assign(cells, CellStats(spec));
     std::size_t next_cell = 0;
     while (true) {
-      if (!reader.NextTokens(tokens)) {
+      if (!reader.Next(tokens)) {
         reader.Fail("truncated checkpoint: shard " + std::to_string(s) +
                     " is incomplete");
       }
@@ -247,13 +196,7 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
         if (rec.cell >= cells) reader.Fail("qrec cell out of range");
         rec.reason = tokens[3];
         rec.attempts = reader.Count(tokens[4]);
-        // Detail = the raw remainder after the 5th token's position;
-        // reconstruct from the tokenization (inner runs of whitespace
-        // collapse, which the single-line sanitizer already did).
-        for (std::size_t t = 5; t < tokens.size(); ++t) {
-          if (t > 5) rec.detail += ' ';
-          rec.detail += tokens[t];
-        }
+        rec.detail = reader.Rest(5);
         out.exec.quarantine.push_back(std::move(rec));
         continue;
       }
@@ -275,30 +218,30 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
       cell.faulted_instances = reader.Count(tokens[10]);
       cell.failed_pe_hits = reader.Count(tokens[11]);
       cell.oracle_sampled = reader.Count(tokens[12]);
-      cell.max_makespan_ms = reader.Bits(tokens[13]);
+      cell.max_makespan_ms = std::bit_cast<double>(reader.Hex(tokens[13]));
 
       auto read_moments = [&](Moments& m) {
-        if (!reader.NextTokens(tokens) || tokens.size() != 6 ||
+        if (!reader.Next(tokens) || tokens.size() != 6 ||
             tokens[0] != "m") {
           reader.Fail("expected 'm <count> <sum hi lo> <sum_sq hi lo>'");
         }
         m = Moments::FromRaw(
             reader.Count(tokens[1]),
-            JoinWords(reader.U64(tokens[2]), reader.U64(tokens[3])),
-            JoinWords(reader.U64(tokens[4]), reader.U64(tokens[5])));
+            JoinWords(reader.Count(tokens[2]), reader.Count(tokens[3])),
+            JoinWords(reader.Count(tokens[4]), reader.Count(tokens[5])));
       };
       auto read_histogram = [&](Histogram& h, double hi_edge) {
-        if (!reader.NextTokens(tokens) ||
+        if (!reader.Next(tokens) ||
             tokens.size() != 3 + spec.bins || tokens[0] != "h") {
           reader.Fail("expected 'h <underflow> <overflow> <" +
                       std::to_string(spec.bins) + " bins>'");
         }
         std::vector<std::uint64_t> counts(spec.bins);
         for (std::size_t b = 0; b < spec.bins; ++b) {
-          counts[b] = reader.U64(tokens[3 + b]);
+          counts[b] = reader.Count(tokens[3 + b]);
         }
-        h = Histogram::FromRaw(0.0, hi_edge, reader.U64(tokens[1]),
-                               reader.U64(tokens[2]), std::move(counts));
+        h = Histogram::FromRaw(0.0, hi_edge, reader.Count(tokens[1]),
+                               reader.Count(tokens[2]), std::move(counts));
       };
       read_moments(cell.energy);
       read_histogram(cell.energy_hist, spec.energy_max_mj);
@@ -319,11 +262,7 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
 
 util::Expected<CheckpointState> LoadCheckpoint(std::istream& is,
                                                const CampaignSpec& spec) {
-  try {
-    return LoadCheckpointImpl(is, spec);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::TryParse([&] { return LoadCheckpointImpl(is, spec); });
 }
 
 }  // namespace actg::campaign

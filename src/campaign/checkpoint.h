@@ -10,9 +10,9 @@
 /// point, because the merge consumes the same per-shard states in the
 /// same shard order either way.
 ///
-/// The format is line-oriented text like campaign-v1 (lines starting
-/// with '#' and blank lines are skipped; diagnostics carry "checkpoint
-/// line N: ..."), but it is a machine format: every accumulator is
+/// The format is line-oriented text in the shared grammar of
+/// util/text_reader.h ('#' comments, decimal counts, "checkpoint line
+/// N: ..." diagnostics), but it is a machine format: every accumulator is
 /// serialized as its exact integer state (__int128 sums as hi/lo 64-bit
 /// words, doubles as IEEE-754 bit patterns in hex), so a load followed
 /// by a store round-trips bit-identically.
@@ -23,6 +23,7 @@
 ///   shard <s> begin <b> end <e> oracle <n>
 ///   tiers <exact> <warm_cache> <warm_prior> <table> <full> <fallbacks>
 ///   qrec <index> <cell> <reason> <attempts> <detail to end of line>
+///                              # detail is verbatim, '#' included
 ///   cell <c> <apps> <exec> <miss> <resched> <esc> <oob> <rec>
 ///        <overrun> <faulted> <pe_hits> <oracle> <max_makespan_bits>
 ///   m <count> <sum_hi> <sum_lo> <sum_sq_hi> <sum_sq_lo>

@@ -1,9 +1,9 @@
 #include "campaign/spec.h"
 
-#include <sstream>
 #include <utility>
 
 #include "dvfs/policy.h"
+#include "util/text_reader.h"
 
 namespace actg::campaign {
 
@@ -148,67 +148,10 @@ util::Error CampaignSpec::Validate() const {
 
 namespace {
 
-/// Line-oriented reader mirroring serve/request.cpp: '#' starts a
-/// comment, blank lines are skipped, failures carry the line number.
-struct CampaignReader {
-  std::istream& is;
-  int line_number = 0;
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("campaign line " +
-                          std::to_string(line_number) + ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value))) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-
-  bool Flag(const std::string& token) const {
-    const std::size_t value = Count(token);
-    if (value > 1) Fail("expected 0 or 1, got '" + token + "'");
-    return value == 1;
-  }
-};
-
 CampaignSpec ParseCampaignFileImpl(std::istream& is) {
-  CampaignReader reader{is};
+  util::TextReader reader(is, "campaign");
   std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "campaign" || tokens[1] != "v1") {
-    reader.Fail("expected header 'campaign v1'");
-  }
+  reader.Header("campaign v1", tokens);
   CampaignSpec spec;
   auto one = [&](const char* what) -> const std::string& {
     if (tokens.size() != 2) {
@@ -216,7 +159,7 @@ CampaignSpec ParseCampaignFileImpl(std::istream& is) {
     }
     return tokens[1];
   };
-  while (reader.NextTokens(tokens)) {
+  while (reader.Next(tokens)) {
     const std::string& directive = tokens[0];
     if (directive == "end") {
       spec.ApplyDefaults();
@@ -224,7 +167,7 @@ CampaignSpec ParseCampaignFileImpl(std::istream& is) {
       return spec;
     }
     if (directive == "seed") {
-      spec.seed = static_cast<std::uint64_t>(reader.Count(one("<uint64>")));
+      spec.seed = reader.Count(one("<uint64>"));
     } else if (directive == "instances") {
       spec.instances = reader.Count(one("<count>"));
     } else if (directive == "shards") {
@@ -295,11 +238,7 @@ CampaignSpec ParseCampaignFileImpl(std::istream& is) {
 }  // namespace
 
 util::Expected<CampaignSpec> ParseCampaignFile(std::istream& is) {
-  try {
-    return ParseCampaignFileImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::TryParse([&] { return ParseCampaignFileImpl(is); });
 }
 
 void WriteCampaignFile(std::ostream& os, const CampaignSpec& spec) {

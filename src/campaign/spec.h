@@ -12,10 +12,10 @@
 /// every per-instance result is a pure function of (spec, i),
 /// independent of shard boundaries and worker count.
 ///
-/// Like serve-v1 and faults-v1, the format is line-oriented ('#'
-/// comments, blank lines ignored), parses into util::Expected with
-/// "campaign line N: ..." diagnostics, and every parsed object
-/// Validates() up front.
+/// The format follows the shared grammar of util/text_reader.h ('#'
+/// comments, decimal counts and seeds, 0/1 flags), parses into
+/// util::Expected with "campaign line N: ..." diagnostics, and every
+/// parsed object Validates() up front.
 
 #ifndef ACTG_CAMPAIGN_SPEC_H
 #define ACTG_CAMPAIGN_SPEC_H

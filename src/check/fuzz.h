@@ -118,8 +118,9 @@ FuzzCase Shrink(const FuzzCase& c,
 /// directives plus embedded faults-v1 / ctg-v1 / platform-v1 blocks).
 void WriteRepro(std::ostream& os, const FuzzCase& c);
 
-/// Parses a repro file; malformed input is reported as a util::Error
-/// with a "fuzzcase: ..." diagnostic.
+/// Parses a repro file in the shared grammar of util/text_reader.h
+/// (leading '#' provenance lines are comments); malformed input is
+/// reported as a util::Error with a "fuzzcase line N: ..." diagnostic.
 util::Expected<FuzzCase> ParseRepro(std::istream& is);
 
 }  // namespace actg::check

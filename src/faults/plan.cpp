@@ -1,6 +1,5 @@
 #include "faults/plan.h"
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,62 +65,11 @@ bool FaultPlan::Empty() const {
 
 namespace {
 
-/// Line-oriented reader mirroring io/text_format: '#' starts a comment,
-/// blank lines are skipped, failures carry the line number.
-struct PlanReader {
-  std::istream& is;
-  int line_number = 0;
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("fault_plan line " +
-                          std::to_string(line_number) + ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<std::size_t>(value)) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-};
-
-FaultPlan ParseFaultPlanImpl(std::istream& is) {
-  PlanReader reader{is};
+FaultPlan ParseFaultPlanImpl(util::TextReader& reader) {
   std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "faults" || tokens[1] != "v1") {
-    reader.Fail("expected header 'faults v1'");
-  }
+  reader.Header("faults v1", tokens);
   FaultPlan plan;
-  while (reader.NextTokens(tokens)) {
+  while (reader.Next(tokens)) {
     const std::string& directive = tokens[0];
     if (directive == "end") {
       plan.Validate().ThrowIfError();
@@ -132,7 +80,7 @@ FaultPlan ParseFaultPlanImpl(std::istream& is) {
       plan.intensity = reader.Number(tokens[1]);
     } else if (directive == "seed") {
       if (tokens.size() != 2) reader.Fail("seed needs <uint64>");
-      plan.seed = static_cast<std::uint64_t>(reader.Count(tokens[1]));
+      plan.seed = reader.Count(tokens[1]);
     } else if (directive == "overrun") {
       if (tokens.size() != 4) {
         reader.Fail("overrun needs <prob> <min_factor> <max_factor>");
@@ -170,11 +118,12 @@ FaultPlan ParseFaultPlanImpl(std::istream& is) {
 }  // namespace
 
 util::Expected<FaultPlan> ParseFaultPlan(std::istream& is) {
-  try {
-    return ParseFaultPlanImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  util::TextReader reader(is, "fault_plan");
+  return ParseFaultPlan(reader);
+}
+
+util::Expected<FaultPlan> ParseFaultPlan(util::TextReader& reader) {
+  return util::TryParse([&] { return ParseFaultPlanImpl(reader); });
 }
 
 void WriteFaultPlan(std::ostream& os, const FaultPlan& plan) {

@@ -28,6 +28,7 @@
 #include <ostream>
 
 #include "util/error.h"
+#include "util/text_reader.h"
 
 namespace actg::faults {
 
@@ -98,7 +99,9 @@ struct FaultPlan {
   bool Empty() const;
 };
 
-/// Parses a plan from the library's line-oriented text format:
+/// Parses a plan from the library's line-oriented text format, in the
+/// shared grammar of util/text_reader.h (durations and the seed are
+/// decimal counts):
 ///
 ///   faults v1
 ///   intensity <scale>               # optional, default 1
@@ -112,6 +115,9 @@ struct FaultPlan {
 /// Every directive is optional; malformed input is reported as a
 /// util::Error with a "fault_plan line N: ..." diagnostic.
 util::Expected<FaultPlan> ParseFaultPlan(std::istream& is);
+
+/// Parses a plan embedded in an enclosing format, off its reader.
+util::Expected<FaultPlan> ParseFaultPlan(util::TextReader& reader);
 
 /// Serializes \p plan in the ParseFaultPlan format.
 void WriteFaultPlan(std::ostream& os, const FaultPlan& plan);

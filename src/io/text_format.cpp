@@ -2,7 +2,6 @@
 
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -17,56 +16,18 @@ bool HasWhitespace(const std::string& s) {
   return s.find_first_of(" \t\r\n") != std::string::npos;
 }
 
-/// Tokenized view of one input stream with line tracking for messages.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  /// Next non-empty, non-comment line split into tokens; false at EOF.
-  bool Next(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_number_;
-      const std::size_t hash = line.find('#');
-      if (hash != std::string::npos) line.erase(hash);
-      std::istringstream split(line);
-      tokens.clear();
-      std::string token;
-      while (split >> token) tokens.push_back(token);
-      if (!tokens.empty()) return true;
-    }
-    return false;
+/// A count below \p limit, as an int index; \p what names it in the
+/// out-of-range diagnostic.
+int Index(const util::TextReader& reader, const std::string& token,
+          std::uint64_t limit, const char* what) {
+  const std::uint64_t value = reader.Count(token);
+  if (value >= limit) {
+    reader.Fail(std::string(what) + " out of range: " + token);
   }
+  return static_cast<int>(value);
+}
 
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("text_format line " +
-                          std::to_string(line_number_) + ": " + message);
-  }
-
-  double Number(const std::string& token) const {
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(token, &used);
-      if (used != token.size()) Fail("malformed number '" + token + "'");
-      return value;
-    } catch (const std::logic_error&) {
-      Fail("malformed number '" + token + "'");
-    }
-  }
-
-  int Integer(const std::string& token) const {
-    const double value = Number(token);
-    const int result = static_cast<int>(value);
-    if (static_cast<double>(result) != value) {
-      Fail("expected an integer, got '" + token + "'");
-    }
-    return result;
-  }
-
- private:
-  std::istream& is_;
-  int line_number_ = 0;
-};
+constexpr std::uint64_t kIntLimit = std::numeric_limits<int>::max();
 
 }  // namespace
 
@@ -114,24 +75,16 @@ namespace {
 /// Parser bodies; they report malformed input by throwing
 /// InvalidArgument, which the Parse* boundaries below convert to the
 /// value-semantic util::Error.
-ctg::Ctg ParseCtgImpl(std::istream& is) {
-  LineReader reader(is);
+ctg::Ctg ParseCtgImpl(util::TextReader& reader) {
   std::vector<std::string> tokens;
-  if (!reader.Next(tokens) || tokens.size() != 2 || tokens[0] != "ctg" ||
-      tokens[1] != "v1") {
-    reader.Fail("expected header 'ctg v1'");
-  }
+  reader.Header("ctg v1", tokens);
 
   ctg::CtgBuilder builder;
   int task_count = 0;
   double deadline = 0.0;
   std::unordered_set<std::string> task_names;
   const auto task_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= task_count) {
-      reader.Fail("task index out of range: " + token);
-    }
-    return TaskId{index};
+    return TaskId{Index(reader, token, task_count, "task index")};
   };
 
   while (reader.Next(tokens)) {
@@ -168,8 +121,8 @@ ctg::Ctg ParseCtgImpl(std::istream& is) {
       if (tokens[4] == "-") {
         builder.AddEdge(src, dst, comm);
       } else {
-        builder.AddConditionalEdge(src, dst, reader.Integer(tokens[4]),
-                                   comm);
+        builder.AddConditionalEdge(
+            src, dst, Index(reader, tokens[4], kIntLimit, "outcome"), comm);
       }
     } else if (directive == "labels") {
       if (tokens.size() < 4) {
@@ -188,11 +141,12 @@ ctg::Ctg ParseCtgImpl(std::istream& is) {
 }  // namespace
 
 util::Expected<ctg::Ctg> ParseCtg(std::istream& is) {
-  try {
-    return ParseCtgImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  util::TextReader reader(is, "text_format");
+  return ParseCtg(reader);
+}
+
+util::Expected<ctg::Ctg> ParseCtg(util::TextReader& reader) {
+  return util::TryParse([&] { return ParseCtgImpl(reader); });
 }
 
 void WritePlatform(std::ostream& os, const arch::Platform& platform) {
@@ -233,36 +187,24 @@ void WritePlatform(std::ostream& os, const arch::Platform& platform) {
 
 namespace {
 
-arch::Platform ParsePlatformImpl(std::istream& is) {
-  LineReader reader(is);
+arch::Platform ParsePlatformImpl(util::TextReader& reader) {
   std::vector<std::string> tokens;
-  if (!reader.Next(tokens) || tokens.size() != 2 ||
-      tokens[0] != "platform" || tokens[1] != "v1") {
-    reader.Fail("expected header 'platform v1'");
-  }
+  reader.Header("platform v1", tokens);
   if (!reader.Next(tokens) || tokens.size() != 3 || tokens[0] != "dims") {
     reader.Fail("expected 'dims <tasks> <pes>'");
   }
-  const int task_count = reader.Integer(tokens[1]);
-  const int pe_count = reader.Integer(tokens[2]);
-  if (task_count <= 0 || pe_count <= 0) {
+  const int task_count = Index(reader, tokens[1], kIntLimit, "dims");
+  const int pe_count = Index(reader, tokens[2], kIntLimit, "dims");
+  if (task_count == 0 || pe_count == 0) {
     reader.Fail("dims must be positive");
   }
   arch::PlatformBuilder builder(static_cast<std::size_t>(task_count),
                                 static_cast<std::size_t>(pe_count));
   const auto pe_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= pe_count) {
-      reader.Fail("PE index out of range: " + token);
-    }
-    return PeId{index};
+    return PeId{Index(reader, token, pe_count, "PE index")};
   };
   const auto task_id = [&](const std::string& token) {
-    const int index = reader.Integer(token);
-    if (index < 0 || index >= task_count) {
-      reader.Fail("task index out of range: " + token);
-    }
-    return TaskId{index};
+    return TaskId{Index(reader, token, task_count, "task index")};
   };
 
   while (reader.Next(tokens)) {
@@ -307,11 +249,12 @@ arch::Platform ParsePlatformImpl(std::istream& is) {
 }  // namespace
 
 util::Expected<arch::Platform> ParsePlatform(std::istream& is) {
-  try {
-    return ParsePlatformImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  util::TextReader reader(is, "text_format");
+  return ParsePlatform(reader);
+}
+
+util::Expected<arch::Platform> ParsePlatform(util::TextReader& reader) {
+  return util::TryParse([&] { return ParsePlatformImpl(reader); });
 }
 
 }  // namespace actg::io

@@ -5,7 +5,8 @@
 /// files instead of C++ builders, and lets experiments be re-run on
 /// externally produced graphs (e.g. converted from real TGFF output).
 ///
-/// Format (one directive per line, '#' starts a comment):
+/// Format (one directive per line, in the shared grammar of
+/// util/text_reader.h; indices are counts):
 ///
 ///   ctg v1
 ///   deadline <ms>
@@ -34,6 +35,7 @@
 #include "arch/platform.h"
 #include "ctg/graph.h"
 #include "util/error.h"
+#include "util/text_reader.h"
 
 namespace actg::io {
 
@@ -47,12 +49,18 @@ void WriteCtg(std::ostream& os, const ctg::Ctg& graph);
 /// CtgBuilder.
 util::Expected<ctg::Ctg> ParseCtg(std::istream& is);
 
+/// Parses a CTG embedded in an enclosing format, off its reader.
+util::Expected<ctg::Ctg> ParseCtg(util::TextReader& reader);
+
 /// Serializes \p platform.
 void WritePlatform(std::ostream& os, const arch::Platform& platform);
 
 /// Parses a platform; malformed input is reported as a util::Error
 /// with a "text_format line N: ..." diagnostic.
 util::Expected<arch::Platform> ParsePlatform(std::istream& is);
+
+/// Parses a platform embedded in an enclosing format, off its reader.
+util::Expected<arch::Platform> ParsePlatform(util::TextReader& reader);
 
 }  // namespace actg::io
 

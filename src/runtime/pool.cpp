@@ -2,10 +2,12 @@
 
 #include <cstdlib>
 #include <exception>
+#include <optional>
 #include <string>
 
 #include "obs/trace.h"
 #include "runtime/watchdog.h"
+#include "util/text_reader.h"
 
 namespace actg::runtime {
 
@@ -158,22 +160,14 @@ std::size_t HardwareJobs() {
 namespace {
 
 std::size_t ParseJobsValue(const std::string& text, std::size_t fallback) {
-  // Digits only: stoul would accept "-4" by wrapping it to a huge
-  // unsigned value, and the pool would then try to spawn that many
-  // threads. Anything non-numeric falls back untouched.
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return fallback;
-  }
-  try {
-    const unsigned long value = std::stoul(text);
-    // More workers than a machine could have is a typo, not a request.
-    constexpr unsigned long kMaxJobs = 1024;
-    if (value > kMaxJobs) return kMaxJobs;
-    return value == 0 ? HardwareJobs() : static_cast<std::size_t>(value);
-  } catch (...) {
-    return fallback;
-  }
+  // Digits only, so "-4" cannot wrap to a huge thread count. Anything
+  // non-numeric (or past 2^64-1) falls back untouched.
+  const std::optional<std::uint64_t> value = util::ParseCount(text);
+  if (!value) return fallback;
+  // More workers than a machine could have is a typo, not a request.
+  constexpr std::uint64_t kMaxJobs = 1024;
+  if (*value > kMaxJobs) return kMaxJobs;
+  return *value == 0 ? HardwareJobs() : static_cast<std::size_t>(*value);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "serve/request.h"
 
-#include <sstream>
 #include <utility>
 
 #include "dvfs/policy.h"
+#include "util/text_reader.h"
 
 namespace actg::serve {
 
@@ -75,61 +75,13 @@ util::Error FleetRequest::Validate() const {
 
 namespace {
 
-/// Line-oriented reader mirroring faults/plan.cpp: '#' starts a
-/// comment, blank lines are skipped, failures carry the line number.
-struct ServeReader {
-  std::istream& is;
-  int line_number = 0;
+SlaClass Sla(const util::TextReader& reader, const std::string& token) {
+  const std::optional<SlaClass> sla = ParseSlaClass(token);
+  if (!sla) reader.Fail("unknown SLA class '" + token + "'");
+  return *sla;
+}
 
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw InvalidArgument("serve line " + std::to_string(line_number) +
-                          ": " + message);
-  }
-
-  bool NextTokens(std::vector<std::string>& tokens) {
-    std::string line;
-    while (std::getline(is, line)) {
-      ++line_number;
-      if (const auto hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream split(line);
-      tokens.clear();
-      for (std::string tok; split >> tok;) tokens.push_back(tok);
-      if (!tokens.empty()) return true;
-    }
-    return false;
-  }
-
-  double Number(const std::string& token) const {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      Fail("expected a number, got '" + token + "'");
-    }
-    if (used != token.size()) Fail("trailing garbage in '" + token + "'");
-    return value;
-  }
-
-  std::size_t Count(const std::string& token) const {
-    const double value = Number(token);
-    if (value < 0.0 || value != static_cast<double>(
-                                    static_cast<std::size_t>(value))) {
-      Fail("expected a non-negative integer, got '" + token + "'");
-    }
-    return static_cast<std::size_t>(value);
-  }
-
-  SlaClass Sla(const std::string& token) const {
-    const std::optional<SlaClass> sla = ParseSlaClass(token);
-    if (!sla) Fail("unknown SLA class '" + token + "'");
-    return *sla;
-  }
-};
-
-TenantRequest ParseTenantLine(const ServeReader& reader,
+TenantRequest ParseTenantLine(const util::TextReader& reader,
                               const std::vector<std::string>& tokens) {
   if (tokens.size() < 5) {
     reader.Fail(
@@ -137,7 +89,7 @@ TenantRequest ParseTenantLine(const ServeReader& reader,
   }
   TenantRequest tenant;
   tenant.name = tokens[1];
-  tenant.sla = reader.Sla(tokens[2]);
+  tenant.sla = Sla(reader, tokens[2]);
   const auto workload = apps::ParseTenantWorkload(tokens[3]);
   if (!workload) reader.Fail("unknown workload '" + tokens[3] + "'");
   tenant.workload = *workload;
@@ -151,7 +103,7 @@ TenantRequest ParseTenantLine(const ServeReader& reader,
     const std::string key = option.substr(0, eq);
     const std::string value = option.substr(eq + 1);
     if (key == "seed") {
-      tenant.seed = static_cast<std::uint64_t>(reader.Count(value));
+      tenant.seed = reader.Count(value);
     } else if (key == "arrival") {
       tenant.arrival = reader.Count(value);
     } else if (key == "threshold") {
@@ -168,14 +120,11 @@ TenantRequest ParseTenantLine(const ServeReader& reader,
 }
 
 FleetRequest ParseServeFileImpl(std::istream& is) {
-  ServeReader reader{is};
+  util::TextReader reader(is, "serve");
   std::vector<std::string> tokens;
-  if (!reader.NextTokens(tokens) || tokens.size() != 2 ||
-      tokens[0] != "serve" || tokens[1] != "v1") {
-    reader.Fail("expected header 'serve v1'");
-  }
+  reader.Header("serve v1", tokens);
   FleetRequest fleet;
-  while (reader.NextTokens(tokens)) {
+  while (reader.Next(tokens)) {
     const std::string& directive = tokens[0];
     if (directive == "end") {
       fleet.Validate().ThrowIfError();
@@ -183,7 +132,7 @@ FleetRequest ParseServeFileImpl(std::istream& is) {
     }
     if (directive == "seed") {
       if (tokens.size() != 2) reader.Fail("seed needs <uint64>");
-      fleet.config.seed = static_cast<std::uint64_t>(reader.Count(tokens[1]));
+      fleet.config.seed = reader.Count(tokens[1]);
     } else if (directive == "shards") {
       if (tokens.size() != 2) reader.Fail("shards needs <count>");
       fleet.config.cache_shards = reader.Count(tokens[1]);
@@ -192,9 +141,7 @@ FleetRequest ParseServeFileImpl(std::istream& is) {
       fleet.config.shard_capacity = reader.Count(tokens[1]);
     } else if (directive == "share_cache") {
       if (tokens.size() != 2) reader.Fail("share_cache needs <0|1>");
-      const std::size_t flag = reader.Count(tokens[1]);
-      if (flag > 1) reader.Fail("share_cache needs <0|1>");
-      fleet.config.share_cache = flag == 1;
+      fleet.config.share_cache = reader.Flag(tokens[1]);
     } else if (directive == "batch") {
       if (tokens.size() != 2) reader.Fail("batch needs <count>");
       fleet.config.batch = reader.Count(tokens[1]);
@@ -209,14 +156,12 @@ FleetRequest ParseServeFileImpl(std::istream& is) {
       fleet.config.recover_rounds = reader.Count(tokens[1]);
     } else if (directive == "budget") {
       if (tokens.size() != 3) reader.Fail("budget needs <sla> <ms>");
-      const SlaClass sla = reader.Sla(tokens[1]);
+      const SlaClass sla = Sla(reader, tokens[1]);
       fleet.config.budget_ms[static_cast<std::size_t>(sla)] =
           reader.Number(tokens[2]);
     } else if (directive == "validate") {
       if (tokens.size() != 2) reader.Fail("validate needs <0|1>");
-      const std::size_t flag = reader.Count(tokens[1]);
-      if (flag > 1) reader.Fail("validate needs <0|1>");
-      fleet.config.validate = flag == 1;
+      fleet.config.validate = reader.Flag(tokens[1]);
     } else if (directive == "tenant") {
       fleet.tenants.push_back(ParseTenantLine(reader, tokens));
     } else {
@@ -229,11 +174,7 @@ FleetRequest ParseServeFileImpl(std::istream& is) {
 }  // namespace
 
 util::Expected<FleetRequest> ParseServeFile(std::istream& is) {
-  try {
-    return ParseServeFileImpl(is);
-  } catch (const InvalidArgument& e) {
-    return util::Error::Invalid(e.what());
-  }
+  return util::TryParse([&] { return ParseServeFileImpl(is); });
 }
 
 void WriteServeFile(std::ostream& os, const FleetRequest& fleet) {

@@ -10,9 +10,10 @@
 /// from a util::Random::Fork substream of the root seed, and all
 /// admission decisions depend only on deterministic queue depths.
 ///
-/// Like faults-v1, the format is line-oriented ('#' comments, blank
-/// lines ignored), parses into util::Expected with "serve line N: ..."
-/// diagnostics, and every parsed object Validates() up front.
+/// The format follows the shared grammar of util/text_reader.h ('#'
+/// comments, decimal counts and seeds), parses into util::Expected with
+/// "serve line N: ..." diagnostics, and every parsed object Validates()
+/// up front.
 
 #ifndef ACTG_SERVE_REQUEST_H
 #define ACTG_SERVE_REQUEST_H

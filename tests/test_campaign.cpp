@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,15 +150,22 @@ TEST(Histogram, MergeRejectsMismatchedLayouts) {
 // ------------------------------------------------------ Spec parsing
 
 TEST(CampaignSpecFile, SyntheticRoundTripsByteIdentically) {
-  const CampaignSpec spec = SyntheticCampaign(1000, 7);
-  std::ostringstream first;
-  WriteCampaignFile(first, spec);
-  std::istringstream in(first.str());
-  const util::Expected<CampaignSpec> parsed = ParseCampaignFile(in);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-  std::ostringstream second;
-  WriteCampaignFile(second, parsed.value());
-  EXPECT_EQ(first.str(), second.str());
+  // Seeds past 2^53 must survive exactly, up to 2^64-1.
+  for (const std::uint64_t seed :
+       {std::uint64_t{7}, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    const CampaignSpec spec = SyntheticCampaign(1000, seed);
+    std::ostringstream first;
+    WriteCampaignFile(first, spec);
+    std::istringstream in(first.str());
+    const util::Expected<CampaignSpec> parsed = ParseCampaignFile(in);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    EXPECT_EQ(parsed.value().seed, seed);
+    std::ostringstream second;
+    WriteCampaignFile(second, parsed.value());
+    EXPECT_EQ(first.str(), second.str());
+  }
 }
 
 TEST(CampaignSpecFile, MinimalFileGetsDefaults) {
@@ -424,7 +433,8 @@ TEST(CampaignRunner, RunCampaignFileReportsParseErrors) {
   std::ostringstream report;
   const auto run = RunCampaignFile(in, 1, report);
   ASSERT_FALSE(run.ok());
-  EXPECT_NE(run.error().message().find("expected a number"),
+  EXPECT_NE(run.error().message().find(
+                "expected a non-negative integer, got 'nope'"),
             std::string::npos);
   EXPECT_TRUE(report.str().empty());
 }
@@ -501,6 +511,29 @@ TEST(CampaignCheckpoint, StoreLoadStoreIsByteIdentical) {
   WriteCheckpoint(restored, spec, state.value().done,
                   state.value().outputs);
   EXPECT_EQ(stored, restored.str());
+}
+
+// A quarantine detail is free text to the end of its line: runs of
+// spaces and '#' must come back verbatim, or a resumed campaign's
+// quarantine section would differ from an uninterrupted one.
+TEST(CampaignCheckpoint, QuarantineDetailRoundTripsVerbatim) {
+  CampaignSpec spec = SmallSpec(8);
+  spec.shards = 1;
+  std::vector<ShardOutput> outputs(1);
+  outputs[0].cells.assign(spec.CellCount(), CellStats(spec));
+  const auto [begin, end] = Campaign::ShardRange(spec.instances, 1, 0);
+  outputs[0].exec.begin = begin;
+  outputs[0].exec.end = end;
+  const std::string detail = "violations (1):   [deadline] t3 # late";
+  outputs[0].exec.quarantine.push_back({3, 0, "oracle", 1, detail});
+  std::ostringstream stored;
+  WriteCheckpoint(stored, spec, {1}, outputs);
+  std::istringstream reload(stored.str());
+  const util::Expected<CheckpointState> state =
+      LoadCheckpoint(reload, spec);
+  ASSERT_TRUE(state.ok()) << state.error().message();
+  ASSERT_EQ(state.value().outputs[0].exec.quarantine.size(), 1u);
+  EXPECT_EQ(state.value().outputs[0].exec.quarantine[0].detail, detail);
 }
 
 TEST(CampaignCheckpoint, ResumeWithoutAFileIsAFreshStart) {
@@ -750,7 +783,6 @@ TEST(CampaignQuarantine, EmittedReproReplaysThroughTheFuzzHarness) {
   std::getline(in, header);
   EXPECT_NE(header.find("seed 11 index 4"), std::string::npos)
       << header;
-  while (in.peek() == '#') std::getline(in, header);
   const util::Expected<check::FuzzCase> replayed = check::ParseRepro(in);
   ASSERT_TRUE(replayed.ok()) << replayed.error().message();
   // The instance was poisoned, not genuinely broken: the replay runs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,30 +75,36 @@ TEST(FaultPlanValidate, RejectsEachBadKnob) {
 }
 
 TEST(FaultPlanText, RoundTripsEveryField) {
-  FaultPlan plan = FullPlan(0.75);
-  plan.seed = 424242;
-  std::ostringstream out;
-  WriteFaultPlan(out, plan);
-  std::istringstream in(out.str());
-  const util::Expected<FaultPlan> parsed = ParseFaultPlan(in);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
-  const FaultPlan& back = parsed.value();
-  EXPECT_DOUBLE_EQ(back.intensity, plan.intensity);
-  EXPECT_EQ(back.seed, plan.seed);
-  EXPECT_DOUBLE_EQ(back.overrun.probability, plan.overrun.probability);
-  EXPECT_DOUBLE_EQ(back.overrun.min_factor, plan.overrun.min_factor);
-  EXPECT_DOUBLE_EQ(back.overrun.max_factor, plan.overrun.max_factor);
-  EXPECT_DOUBLE_EQ(back.dropout.probability, plan.dropout.probability);
-  EXPECT_EQ(back.dropout.duration, plan.dropout.duration);
-  EXPECT_DOUBLE_EQ(back.dropout.rerun_penalty,
-                   plan.dropout.rerun_penalty);
-  EXPECT_DOUBLE_EQ(back.link.probability, plan.link.probability);
-  EXPECT_DOUBLE_EQ(back.link.bandwidth_factor,
-                   plan.link.bandwidth_factor);
-  EXPECT_EQ(back.link.duration, plan.link.duration);
-  EXPECT_DOUBLE_EQ(back.drift.max_flip_probability,
-                   plan.drift.max_flip_probability);
-  EXPECT_EQ(back.drift.ramp_instances, plan.drift.ramp_instances);
+  // Seeds past 2^53 must survive exactly, up to 2^64-1.
+  for (const std::uint64_t seed :
+       {std::uint64_t{424242}, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    FaultPlan plan = FullPlan(0.75);
+    plan.seed = seed;
+    std::ostringstream out;
+    WriteFaultPlan(out, plan);
+    std::istringstream in(out.str());
+    const util::Expected<FaultPlan> parsed = ParseFaultPlan(in);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    const FaultPlan& back = parsed.value();
+    EXPECT_DOUBLE_EQ(back.intensity, plan.intensity);
+    EXPECT_EQ(back.seed, plan.seed);
+    EXPECT_DOUBLE_EQ(back.overrun.probability, plan.overrun.probability);
+    EXPECT_DOUBLE_EQ(back.overrun.min_factor, plan.overrun.min_factor);
+    EXPECT_DOUBLE_EQ(back.overrun.max_factor, plan.overrun.max_factor);
+    EXPECT_DOUBLE_EQ(back.dropout.probability, plan.dropout.probability);
+    EXPECT_EQ(back.dropout.duration, plan.dropout.duration);
+    EXPECT_DOUBLE_EQ(back.dropout.rerun_penalty,
+                     plan.dropout.rerun_penalty);
+    EXPECT_DOUBLE_EQ(back.link.probability, plan.link.probability);
+    EXPECT_DOUBLE_EQ(back.link.bandwidth_factor,
+                     plan.link.bandwidth_factor);
+    EXPECT_EQ(back.link.duration, plan.link.duration);
+    EXPECT_DOUBLE_EQ(back.drift.max_flip_probability,
+                     plan.drift.max_flip_probability);
+    EXPECT_EQ(back.drift.ramp_instances, plan.drift.ramp_instances);
+  }
 }
 
 TEST(FaultPlanText, MalformedInputIsAnErrorValue) {

@@ -159,13 +159,32 @@ TEST(FuzzRepro, MalformedInputIsAnErrorNotACrash) {
   const auto expect_fail = [](const std::string& text) {
     std::istringstream is(text);
     util::Expected<FuzzCase> parsed = ParseRepro(is);
-    EXPECT_FALSE(parsed.ok()) << "accepted: " << text;
+    ASSERT_FALSE(parsed.ok()) << "accepted: " << text;
+    EXPECT_NE(parsed.error().message().find("fuzzcase line "),
+              std::string::npos)
+        << parsed.error().message();
   };
   expect_fail("");
   expect_fail("not a fuzzcase\n");
   expect_fail("fuzzcase v1\nend\n");                    // no graph
   expect_fail("fuzzcase v1\nbogus directive\nend\n");
   expect_fail("fuzzcase v1\npolicy\nend\n");            // missing operand
+
+  // A valid repro with one knob line broken: every value is strict.
+  std::stringstream valid;
+  WriteRepro(valid, Materialize(RandomSpec(util::Random(11), 0)));
+  ASSERT_TRUE(ParseRepro(valid).ok());
+  const std::string text = valid.str();
+  const auto with_line = [&](const std::string& directive,
+                             const std::string& line) {
+    const std::size_t at = text.find("\n" + directive + " ") + 1;
+    return text.substr(0, at) + line + text.substr(text.find('\n', at));
+  };
+  expect_fail(with_line("trace_instances", "trace_instances -1"));
+  expect_fail(with_line("prob_seed", "prob_seed -3"));
+  expect_fail(with_line("mutex_aware", "mutex_aware 1x"));
+  expect_fail(with_line("adaptive", "adaptive 7"));
+  expect_fail(with_line("policy", "policy online extra"));
 }
 
 // ---------------------------------------------------------------------------
@@ -232,10 +251,6 @@ TEST(FuzzCorpus, CommittedReprosReplayClean) {
     if (entry.path().extension() != ".fuzzcase") continue;
     std::ifstream is(entry.path());
     ASSERT_TRUE(is.good()) << entry.path();
-    while (is.peek() == '#') {
-      std::string skipped;
-      std::getline(is, skipped);
-    }
     util::Expected<FuzzCase> c = ParseRepro(is);
     ASSERT_TRUE(c.ok()) << entry.path() << ": " << c.error().message();
     const Report report = RunCase(c.value());

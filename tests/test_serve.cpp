@@ -34,21 +34,31 @@ TEST(Sla, TokensRoundTrip) {
 }
 
 TEST(ServeFormat, WriteParseRoundTrips) {
-  FleetRequest fleet = SyntheticFleet(12, 5, 9);
-  fleet.config.share_cache = true;
-  fleet.config.validate = true;
-  fleet.config.budget_ms[0] = 125.0;
-  std::ostringstream first;
-  WriteServeFile(first, fleet);
+  // The fleet seed and a tenant seed= must survive exactly past 2^53.
+  for (const std::uint64_t seed :
+       {std::uint64_t{9}, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    FleetRequest fleet = SyntheticFleet(12, 5, 9);
+    fleet.config.seed = seed;
+    fleet.tenants[1].seed = seed;
+    fleet.config.share_cache = true;
+    fleet.config.validate = true;
+    fleet.config.budget_ms[0] = 125.0;
+    std::ostringstream first;
+    WriteServeFile(first, fleet);
 
-  std::istringstream is(first.str());
-  util::Expected<FleetRequest> parsed = ParseServeFile(is);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    std::istringstream is(first.str());
+    util::Expected<FleetRequest> parsed = ParseServeFile(is);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message();
+    EXPECT_EQ(parsed.value().config.seed, seed);
+    EXPECT_EQ(parsed.value().tenants[1].seed, seed);
 
-  // Round-trip fixpoint: serializing the parse reproduces the bytes.
-  std::ostringstream second;
-  WriteServeFile(second, parsed.value());
-  EXPECT_EQ(first.str(), second.str());
+    // Round-trip fixpoint: serializing the parse reproduces the bytes.
+    std::ostringstream second;
+    WriteServeFile(second, parsed.value());
+    EXPECT_EQ(first.str(), second.str());
+  }
 }
 
 TEST(ServeFormat, ParsesDirectivesAndTenantOptions) {

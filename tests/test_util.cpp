@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/atomic_file.h"
 #include "util/csv.h"
@@ -13,6 +17,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/text_reader.h"
 
 namespace actg::util {
 namespace {
@@ -335,6 +340,72 @@ TEST(Csv, NumericRowPrecision) {
   CsvWriter w(os);
   w.WriteRow(std::vector<double>{1.5, 2.25}, 2);
   EXPECT_EQ(os.str(), "1.50,2.25\n");
+}
+
+// ---------------------------------------------------------------------------
+// TextReader: the line grammar every text format shares
+
+TEST(TextReader, SkipsCommentsAndBlankLinesAndNumbersEveryLine) {
+  std::istringstream is("# header comment\n\nfoo bar # trailing\n\tbaz\n");
+  TextReader reader(is, "demo");
+  std::vector<std::string> tokens;
+  ASSERT_TRUE(reader.Next(tokens));
+  EXPECT_EQ(tokens, (std::vector<std::string>{"foo", "bar"}));
+  try {
+    reader.Fail("boom");
+    FAIL() << "Fail returned";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "demo line 3: boom");
+  }
+  ASSERT_TRUE(reader.Next(tokens));
+  EXPECT_EQ(tokens, (std::vector<std::string>{"baz"}));
+  EXPECT_FALSE(reader.Next(tokens));
+}
+
+TEST(TextReader, CountIsAnExactDecimalUint64) {
+  std::istringstream is;
+  const TextReader reader(is, "demo");
+  EXPECT_EQ(reader.Count("9007199254740993"), 9007199254740993u);
+  EXPECT_EQ(reader.Count("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* token : {"-1", "+1", "1e3", "0x10", "7.0", "1e30",
+                            "18446744073709551616", "x"}) {
+    try {
+      reader.Count(token);
+      FAIL() << "accepted '" << token << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "demo line 0: expected a non-negative integer, got '" +
+                    std::string(token) + "'");
+    }
+  }
+}
+
+TEST(TextReader, NumberFlagAndHexAreStrict) {
+  std::istringstream is;
+  const TextReader reader(is, "demo");
+  EXPECT_DOUBLE_EQ(reader.Number("1e3"), 1000.0);
+  EXPECT_DOUBLE_EQ(reader.Number("-0.5"), -0.5);
+  EXPECT_THROW(reader.Number("4.0x"), InvalidArgument);
+  EXPECT_THROW(reader.Number("twelve"), InvalidArgument);
+  EXPECT_TRUE(reader.Flag("1"));
+  EXPECT_FALSE(reader.Flag("0"));
+  EXPECT_THROW(reader.Flag("01"), InvalidArgument);
+  EXPECT_THROW(reader.Flag("7"), InvalidArgument);
+  EXPECT_EQ(reader.Hex("deadbeef"), 0xdeadbeefu);
+  EXPECT_THROW(reader.Hex("0xdeadbeef"), InvalidArgument);
+}
+
+TEST(TextReader, RestIsTheVerbatimRemainderOfTheLine) {
+  std::istringstream is("qrec 1 2 oracle 1 violations:   [x] # late\r\n"
+                        "qrec 1 2 oracle 1 \n");
+  TextReader reader(is, "demo");
+  std::vector<std::string> tokens;
+  ASSERT_TRUE(reader.Next(tokens));
+  EXPECT_EQ(tokens.size(), 7u);  // the comment is not a token
+  EXPECT_EQ(reader.Rest(5), "violations:   [x] # late");
+  ASSERT_TRUE(reader.Next(tokens));
+  EXPECT_EQ(reader.Rest(5), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -109,11 +109,6 @@ int RunReplay(const std::vector<std::string>& files) {
       status = 1;
       continue;
     }
-    // Skip leading comment lines (ShrinkAndDump prefixes provenance).
-    while (is.peek() == '#') {
-      std::string skipped;
-      std::getline(is, skipped);
-    }
     util::Expected<check::FuzzCase> c = check::ParseRepro(is);
     if (!c.ok()) {
       std::cerr << file << ": " << c.error().message() << "\n";

@@ -1,6 +1,5 @@
 #include "cli_common.h"
 
-#include <charconv>
 #include <iostream>
 
 #include "util/atomic_file.h"
@@ -42,16 +41,6 @@ std::size_t CountFlag(int argc, char** argv, std::string_view flag,
 std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(CountFlag(
       argc, argv, "--seed", static_cast<std::size_t>(fallback)));
-}
-
-std::optional<std::size_t> ParseCount(std::string_view token) {
-  // from_chars into an unsigned type takes no sign and no whitespace,
-  // and reports overflow instead of wrapping.
-  std::size_t value = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
 }
 
 std::optional<std::string> TakeFlag(int& argc, char** argv,

@@ -26,6 +26,7 @@
 #include <string_view>
 
 #include "runtime/metrics.h"
+#include "util/text_reader.h"
 
 namespace actg::cli {
 
@@ -50,8 +51,9 @@ std::uint64_t SeedFlag(int argc, char** argv, std::uint64_t fallback);
 
 /// Strict non-negative integer parse of one token: decimal digits only,
 /// no sign, no surrounding whitespace, no overflow. nullopt otherwise
-/// (so "-1" can never wrap to 2^64-1).
-std::optional<std::size_t> ParseCount(std::string_view token);
+/// (so "-1" can never wrap to 2^64-1). The same count grammar as every
+/// text format's.
+using util::ParseCount;
 
 /// Removes the first `--flag value` / `--flag=value` from argv
 /// (compacting it) and returns the value; nullopt — and argv untouched
