@@ -10,7 +10,6 @@
 /// Averages over the ten Table-4/5 CTGs.
 
 #include <iostream>
-#include <string_view>
 #include <vector>
 
 #include "ctg/activation.h"
@@ -45,10 +44,10 @@ double PipelineEnergy(const bench::TestCase& test,
                       const ctg::ActivationAnalysis& analysis,
                       const ctg::BranchProbabilities& probs,
                       const sched::DlsOptions& dls_options,
-                      std::string_view stretch_policy) {
+                      dvfs::StretchPolicy stretch_policy) {
   sched::Schedule s = sched::RunDls(test.rc.graph, analysis,
                                     test.rc.platform, probs, dls_options);
-  dvfs::ApplyPolicy(stretch_policy, s, probs);
+  dvfs::Stretch(stretch_policy, s, probs);
   return sim::ExpectedEnergy(s, probs);
 }
 
@@ -133,18 +132,21 @@ int main(int argc, char** argv) {
 
         StructuralRow row;
         sched::DlsOptions base;
-        row.full = PipelineEnergy(test, analysis, probs, base, "online");
+        row.full = PipelineEnergy(test, analysis, probs, base,
+                                  dvfs::StretchPolicy::kOnline);
 
         sched::DlsOptions worst_sl = base;
         worst_sl.level_policy = sched::LevelPolicy::kWorstCase;
-        row.a = PipelineEnergy(test, analysis, probs, worst_sl, "online");
+        row.a = PipelineEnergy(test, analysis, probs, worst_sl,
+                               dvfs::StretchPolicy::kOnline);
 
         sched::DlsOptions blind = base;
         blind.mutex_aware = false;
-        row.b = PipelineEnergy(test, analysis, probs, blind, "online");
+        row.b = PipelineEnergy(test, analysis, probs, blind,
+                               dvfs::StretchPolicy::kOnline);
 
-        row.c =
-            PipelineEnergy(test, analysis, probs, base, "proportional");
+        row.c = PipelineEnergy(test, analysis, probs, base,
+                               dvfs::StretchPolicy::kProportional);
         return row;
       });
 
@@ -273,7 +275,7 @@ int main(int argc, char** argv) {
           const arch::Platform platform = std::move(builder).Build();
           sched::Schedule s = sched::RunDls(test.rc.graph, analysis,
                                             platform, probs);
-          dvfs::ApplyPolicy("online", s, probs);
+          dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs);
           row.energies[mode] = sim::ExpectedEnergy(s, probs);
         }
         return row;

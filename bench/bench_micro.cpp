@@ -89,7 +89,7 @@ void BM_StretchOnline(benchmark::State& state) {
   for (auto _ : state) {
     sched::Schedule s = sched::RunDls(wb.rc.graph, wb.analysis,
                                       wb.rc.platform, wb.probs);
-    const auto stats = dvfs::ApplyPolicy("online", s, wb.probs);
+    const auto stats = dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, wb.probs);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }
@@ -100,7 +100,7 @@ void BM_StretchNlp(benchmark::State& state) {
   for (auto _ : state) {
     sched::Schedule s = sched::RunDls(wb.rc.graph, wb.analysis,
                                       wb.rc.platform, wb.probs);
-    const auto stats = dvfs::ApplyPolicy("nlp", s, wb.probs);
+    const auto stats = dvfs::Stretch(dvfs::StretchPolicy::kNlp, s, wb.probs);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }
@@ -110,7 +110,7 @@ void BM_ExpectedEnergy(benchmark::State& state) {
   Workbench wb;
   sched::Schedule s =
       sched::RunDls(wb.rc.graph, wb.analysis, wb.rc.platform, wb.probs);
-  dvfs::ApplyPolicy("online", s, wb.probs);
+  dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, wb.probs);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::ExpectedEnergy(s, wb.probs));
   }
@@ -121,7 +121,7 @@ void BM_ExecuteInstance(benchmark::State& state) {
   Workbench wb;
   sched::Schedule s =
       sched::RunDls(wb.rc.graph, wb.analysis, wb.rc.platform, wb.probs);
-  dvfs::ApplyPolicy("online", s, wb.probs);
+  dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, wb.probs);
   ctg::BranchAssignment assignment(wb.rc.graph.task_count());
   for (TaskId fork : wb.rc.graph.ForkIds()) assignment.Set(fork, 0);
   for (auto _ : state) {
@@ -166,7 +166,8 @@ void BM_RescheduleEngine(benchmark::State& state) {
         sched::RunDls(test.rc.graph, analysis, test.rc.platform, probs,
                       {}, &engine.dls_workspace());
     const auto stats =
-        dvfs::ApplyPolicy("online", s, probs, {}, &engine);
+        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, {}, 0.0,
+                      nullptr, {}, &engine);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }
@@ -187,7 +188,8 @@ void BM_RescheduleDnf(benchmark::State& state) {
     dvfs::PathEngine engine(test.rc.graph, analysis, test.rc.platform,
                             dvfs::PathEngineOptions{.force_dnf = true});
     const auto stats =
-        dvfs::ApplyPolicy("online", s, probs, {}, &engine);
+        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, {}, 0.0,
+                      nullptr, {}, &engine);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }
@@ -201,7 +203,7 @@ void BM_MpegFullPipeline(benchmark::State& state) {
   for (auto _ : state) {
     sched::Schedule s =
         sched::RunDls(model.graph, analysis, model.platform, probs);
-    dvfs::ApplyPolicy("online", s, probs);
+    dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs);
     benchmark::DoNotOptimize(s.Makespan());
   }
 }

@@ -71,8 +71,9 @@ int main(int argc, char** argv) {
         }
 
         const auto t0 = Clock::now();
-        const sched::Schedule online = dvfs::RunWithPolicy(
-            "online", graph, analysis, platform, probs);
+        const sched::Schedule online =
+            dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, graph,
+                                analysis, platform, probs);
         const auto t1 = Clock::now();
         const sched::Schedule ref2 =
             dvfs::RunReference2(graph, analysis, platform, probs);

@@ -133,7 +133,7 @@ sched::Schedule ExperimentSpec::BuildOnlineSchedule() const {
   ACTG_CHECK(profile_ != nullptr, "ExperimentSpec: profile not set");
   sched::Schedule schedule =
       sched::RunDls(*graph_, *analysis_, *platform_, *profile_);
-  dvfs::ApplyPolicy(policy_, schedule, *profile_);
+  dvfs::Stretch(policy_, schedule, *profile_);
   return schedule;
 }
 
@@ -147,7 +147,7 @@ AdaptiveHarness ExperimentSpec::BuildAdaptive() const {
   adaptive::AdaptiveOptions options;
   options.window_length = window_length_;
   options.threshold = threshold_;
-  options.policy = policy_;
+  options.policy = dvfs::StretchPolicyName(policy_);
   options.trace = trace_;
   options.cache = runtime::CacheBinding{harness.cache_.get(), 0};
   options.reschedule.mode = reschedule_mode_;

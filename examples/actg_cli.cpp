@@ -8,9 +8,9 @@
 ///   actg_cli schedule <ctg.txt> <platform.txt> [ref1|ref2|--policy <p>]
 ///       Schedule + stretch (default: the online algorithm) and print
 ///       the Gantt chart and expected energy under uniform
-///       probabilities. --policy selects any registered stretch policy
-///       by name (see dvfs::PolicyNames); ref1/ref2 run the paper's
-///       reference pipelines.
+///       probabilities. --policy selects a stretch policy by name
+///       (see dvfs::StretchPolicy); ref1/ref2 run the paper's reference
+///       pipelines.
 ///   actg_cli simulate <ctg.txt> <platform.txt> <instances> <seed>
 ///       Drive the graph with equal-average fluctuating vectors and
 ///       compare the non-adaptive online algorithm against the adaptive
@@ -61,18 +61,12 @@ namespace {
 using namespace actg;
 
 int Usage() {
-  std::string policies;
-  for (const std::string& name : dvfs::PolicyNames()) {
-    if (!policies.empty()) policies += "|";
-    policies += name;
-  }
   std::cerr
       << "usage:\n"
       << "  actg_cli generate <tasks> <pes> <forks> <category 1|2> "
          "<seed> <prefix>\n"
       << "  actg_cli schedule <ctg.txt> <platform.txt> "
-         "[ref1|ref2|--policy <" +
-             policies + ">]\n"
+         "[ref1|ref2|--policy <nlp|online|proportional>]\n"
       << "  actg_cli simulate <ctg.txt> <platform.txt> <instances> "
          "<seed> [--faults <plan> [--no-degrade]] "
          "[--reschedule-mode <full|incremental|table>]\n"
@@ -145,9 +139,9 @@ int CmdGenerate(int argc, char** argv) {
 }
 
 int CmdSchedule(int argc, char** argv) {
-  // Accept the algorithm either positionally (ref1/ref2, or a registry
-  // policy name for backwards compatibility with the old online|...
-  // spelling) or as --policy <name>.
+  // Accept the algorithm either positionally (ref1/ref2, or a policy
+  // name for backwards compatibility with the old online|... spelling)
+  // or as --policy <name>.
   std::string algorithm = "online";
   if (argc == 6 && std::string(argv[4]) == "--policy") {
     algorithm = argv[5];
@@ -168,11 +162,11 @@ int CmdSchedule(int argc, char** argv) {
     if (algorithm == "ref2") {
       return dvfs::RunReference2(graph, analysis, platform, probs);
     }
-    // Everything else resolves through the policy registry (GetPolicy
-    // reports the registered names on an unknown one).
-    dvfs::GetPolicy(algorithm);
-    return dvfs::RunWithPolicy(algorithm, graph, analysis, platform,
-                               probs);
+    const auto policy = dvfs::ParseStretchPolicy(algorithm);
+    ACTG_CHECK(policy.has_value(),
+               "unknown stretch policy '" + algorithm +
+                   "' (expected nlp, online, proportional, ref1 or ref2)");
+    return dvfs::RunWithPolicy(*policy, graph, analysis, platform, probs);
   }();
   schedule.Validate();
 
@@ -198,7 +192,8 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   const auto profile = vectors.ProfiledProbabilities(graph);
 
   const sched::Schedule online =
-      dvfs::RunWithPolicy("online", graph, analysis, platform, profile);
+      dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, graph, analysis,
+                          platform, profile);
 
   if (!flags.plan_path.has_value()) {
     // The fault-free path: unchanged output, byte for byte.

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   const auto uniform = apps::UniformProbabilities(model.graph);
   sched::Schedule nominal =
       sched::RunDls(model.graph, analysis, model.platform, uniform);
-  dvfs::ApplyPolicy("online", nominal, uniform);
+  dvfs::Stretch(dvfs::StretchPolicy::kOnline, nominal, uniform);
   std::cout << "Scenario energies (stretched schedule, uniform profile):\n";
   for (const ctg::Minterm& scenario :
        analysis.EnumerateScenarioAssignments()) {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         model, sequence, instances, 100 + sequence);
     sched::Schedule online =
         sched::RunDls(model.graph, analysis, model.platform, profile);
-    dvfs::ApplyPolicy("online", online, profile);
+    dvfs::Stretch(dvfs::StretchPolicy::kOnline, online, profile);
     const double online_energy =
         sim::RunTrace(online, vectors).total_energy_mj;
 

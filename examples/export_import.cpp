@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const ctg::ActivationAnalysis analysis(graph);
   const auto probs = apps::UniformProbabilities(graph);
   sched::Schedule schedule = sched::RunDls(graph, analysis, platform, probs);
-  dvfs::ApplyPolicy("online", schedule, probs);
+  dvfs::Stretch(dvfs::StretchPolicy::kOnline, schedule, probs);
   schedule.Validate();
 
   std::cout << "Reloaded pipeline: " << graph.task_count() << " tasks, "

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // Non-adaptive decoding of the test half.
   sched::Schedule online =
       sched::RunDls(model.graph, analysis, model.platform, profile);
-  dvfs::ApplyPolicy("online", online, profile);
+  dvfs::Stretch(dvfs::StretchPolicy::kOnline, online, profile);
   const sim::RunSummary non_adaptive = sim::RunTrace(online, testing);
 
   // Adaptive decoding with both of the paper's thresholds.

@@ -57,7 +57,7 @@ int main() {
 
   // 4. DVFS: the paper's online task stretching heuristic.
   const dvfs::StretchStats stats =
-      dvfs::ApplyPolicy("online", schedule, example.probs);
+      dvfs::Stretch(dvfs::StretchPolicy::kOnline, schedule, example.probs);
   std::cout << "After stretching (" << stats.path_count
             << " paths analyzed): worst path delay "
             << stats.max_path_delay_ms << " ms vs deadline "

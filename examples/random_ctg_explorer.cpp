@@ -68,8 +68,9 @@ int main(int argc, char** argv) {
         dvfs::RunReference1(rc.graph, analysis, rc.platform, probs);
     const auto ref2 =
         dvfs::RunReference2(rc.graph, analysis, rc.platform, probs);
-    const auto online = dvfs::RunWithPolicy("online", rc.graph, analysis,
-                                            rc.platform, probs);
+    const auto online =
+        dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, rc.graph,
+                            analysis, rc.platform, probs);
     const double e1 = sim::ExpectedEnergy(ref1, probs);
     const double e2 = sim::ExpectedEnergy(ref2, probs);
     const double eo = sim::ExpectedEnergy(online, probs);

@@ -37,7 +37,7 @@ ReschedulerConfig MakeReschedulerConfig(const AdaptiveOptions& options) {
   ReschedulerConfig config;
   config.dls = options.dls;
   config.stretch = options.stretch;
-  config.policy = options.policy;
+  config.policy = *dvfs::ParseStretchPolicy(options.policy);  // validated
   config.cache = options.cache;
   config.reschedule = options.reschedule;
   config.metrics = options.metrics;
@@ -76,7 +76,7 @@ util::Error AdaptiveOptions::Validate() const {
     return util::Error::Invalid(
         "AdaptiveOptions: threshold must lie in (0, 1]");
   }
-  if (dvfs::FindPolicy(policy) == nullptr) {
+  if (!dvfs::ParseStretchPolicy(policy)) {
     return util::Error::Invalid(
         "AdaptiveOptions: unknown stretch policy '" + policy + "'");
   }

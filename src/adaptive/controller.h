@@ -100,8 +100,8 @@ struct AdaptiveOptions {
   sched::DlsOptions dls;
   /// Stretcher configuration.
   dvfs::StretchOptions stretch;
-  /// Stretch policy applied after every (re)scheduling pass, resolved
-  /// through the dvfs::Policy registry (paper: the online heuristic).
+  /// Stretch policy applied after every (re)scheduling pass, by name
+  /// (see dvfs::ParseStretchPolicy; paper: the online heuristic).
   std::string policy = "online";
   /// Explicit trace session for the controller's spans and timeline
   /// rows; when null, the process-wide obs::TraceSession::Current() is
@@ -145,10 +145,10 @@ struct AdaptiveOptions {
   bool validate_schedules = false;
 
   /// Ok when every knob is usable: window_length must be positive,
-  /// threshold must lie in (0, 1], the policy must be registered, and
-  /// the nested dls/stretch/degrade options must validate. The
-  /// controller rejects invalid options up front (constructor throws)
-  /// instead of failing mid-run.
+  /// threshold must lie in (0, 1], the policy must name a
+  /// dvfs::StretchPolicy, and the nested dls/stretch/degrade options
+  /// must validate. The controller rejects invalid options up front
+  /// (constructor throws) instead of failing mid-run.
   util::Error Validate() const;
 };
 
@@ -163,8 +163,8 @@ struct AdaptiveOptions {
 /// only process-wide services it touches are explicitly injectable:
 /// the metrics registry (options.metrics, default Global()), the trace
 /// session (options.trace, default Current()) and the schedule cache
-/// (options.cache, default unbound); the dvfs::Policy registry is
-/// resolved once at construction and policies themselves are stateless.
+/// (options.cache, default unbound); the policy name is parsed once at
+/// construction and the stretchers themselves are stateless.
 /// A single controller instance is NOT thread-safe — drive each one
 /// from one thread at a time.
 class AdaptiveController {

@@ -37,7 +37,10 @@ std::uint64_t FingerprintConfig(const ReschedulerConfig& config) {
     fp = runtime::HashCombine(fp, config.dls.available_pes.removed_bits());
   }
   fp = runtime::HashCombine(fp, config.stretch.max_paths);
-  for (const char c : config.policy) {
+  // The policy's name, not its enum value: cache keys and timeline unit
+  // ids must not move when the enum is reordered.
+  const std::string_view policy = dvfs::StretchPolicyName(config.policy);
+  for (const char c : policy) {
     fp = runtime::HashCombine(fp, static_cast<std::uint64_t>(c));
   }
   if (config.reschedule.mode != RescheduleMode::kFull) {
@@ -104,13 +107,23 @@ util::Error RescheduleOptions::Validate() const {
 }
 
 util::Error ReschedulerConfig::Validate() const {
-  if (dvfs::FindPolicy(policy) == nullptr) {
+  if (!dvfs::ParseStretchPolicy(dvfs::StretchPolicyName(policy))) {
     return util::Error::Invalid(
-        "ReschedulerConfig: unknown stretch policy '" + policy + "'");
+        "ReschedulerConfig: unknown stretch policy " +
+        std::to_string(static_cast<int>(policy)));
   }
   if (util::Error err = dls.Validate()) return err;
   if (util::Error err = stretch.Validate()) return err;
   if (util::Error err = reschedule.Validate()) return err;
+  // The table's schedules are served as this config's results, so they
+  // must come from the same stretcher.
+  if (reschedule.table != nullptr &&
+      reschedule.table->options().policy != policy) {
+    return util::Error::Invalid(
+        std::string("ReschedulerConfig: table built with stretch policy '") +
+        dvfs::StretchPolicyName(reschedule.table->options().policy) +
+        "', config uses '" + dvfs::StretchPolicyName(policy) + "'");
+  }
   return {};
 }
 
@@ -122,7 +135,6 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       analysis_(&analysis),
       platform_(&platform),
       config_(std::move(config)),
-      policy_(nullptr),
       verify_incremental_(config_.reschedule.verify_incremental ||
                           VerifyEnvSet()),
       graph_fingerprint_(runtime::FingerprintCtg(graph)),
@@ -131,7 +143,6 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       engine_(graph, analysis, platform,
               dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths}) {
   config_.Validate().ThrowIfError();
-  policy_ = &dvfs::GetPolicy(config_.policy);
   config_fingerprint_ = FingerprintConfig(config_);
 }
 
@@ -144,7 +155,8 @@ runtime::ScheduleCacheKey Rescheduler::MakeKey(
     const ctg::BranchProbabilities& probs) const {
   return runtime::MakeCacheKey(*graph_, probs, graph_fingerprint_,
                                platform_fingerprint_, config_fingerprint_,
-                               config_.cache.tenant, config_.policy);
+                               config_.cache.tenant,
+                               dvfs::StretchPolicyName(config_.policy));
 }
 
 ctg::BranchProbabilities Rescheduler::Unflatten(
@@ -188,13 +200,8 @@ void Rescheduler::ApplyStretch(sched::Schedule& schedule,
                                double speed_floor,
                                dvfs::StretchStats& stats,
                                const dvfs::StretchWarmStart* warm) {
-  dvfs::PolicyContext ctx;
-  ctx.schedule = &schedule;
-  ctx.probs = &probs;
-  ctx.stretch = config_.stretch;
-  ctx.speed_floor = speed_floor;
-  ctx.warm = warm;
-  stats = policy_->Apply(engine_, ctx);
+  stats = dvfs::Stretch(config_.policy, schedule, probs, config_.stretch,
+                        speed_floor, warm, {}, &engine_);
   // The engine now holds an enumeration for this schedule's shape
   // (either freshly enumerated or rewound-and-recommitted); record the
   // pair that lets the next warm stretch rewind instead of re-running
@@ -329,8 +336,8 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   // delays the next warm stretch wants to rewind — i.e. the debug
   // oracle would perturb the production ladder it is checking. The
   // scratch engine also means ApplyStretch must not be used here (it
-  // records engine_shape_/engine_enum_id_ against engine_); the policy
-  // is applied directly instead.
+  // records engine_shape_/engine_enum_id_ against engine_); the
+  // stretcher is run directly instead.
   if (verify_engine_ == nullptr) {
     verify_engine_ = std::make_unique<dvfs::PathEngine>(
         *graph_, *analysis_, *platform_,
@@ -341,12 +348,8 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   sched::Schedule reference =
       sched::RunDls(*graph_, *analysis_, *platform_, probs, dls,
                     &verify_engine_->dls_workspace());
-  dvfs::PolicyContext ctx;
-  ctx.schedule = &reference;
-  ctx.probs = &probs;
-  ctx.stretch = config_.stretch;
-  ctx.speed_floor = req.speed_floor;
-  policy_->Apply(*verify_engine_, ctx);
+  dvfs::Stretch(config_.policy, reference, probs, config_.stretch,
+                req.speed_floor, nullptr, {}, verify_engine_.get());
   // Both must satisfy every structural invariant regardless of
   // validate_schedules — this is the debug oracle.
   check::Expectations expect;

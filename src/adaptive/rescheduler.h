@@ -165,8 +165,9 @@ struct ReschedulerConfig {
   /// dls.available_pes defines which requests count as degraded).
   sched::DlsOptions dls;
   dvfs::StretchOptions stretch;
-  /// Stretch policy, resolved through the dvfs::Policy registry.
-  std::string policy = "online";
+  /// Stretch policy of every computed schedule; a table in
+  /// reschedule.table must have been built with the same one.
+  dvfs::StretchPolicy policy = dvfs::StretchPolicy::kOnline;
   /// Optional schedule memoization (cache + tenant in one value).
   runtime::CacheBinding cache;
   RescheduleOptions reschedule;
@@ -263,7 +264,6 @@ class Rescheduler {
   const ctg::ActivationAnalysis* analysis_;
   const arch::Platform* platform_;
   ReschedulerConfig config_;
-  const dvfs::Policy* policy_;
   bool verify_incremental_;
   std::uint64_t graph_fingerprint_ = 0;
   std::uint64_t platform_fingerprint_ = 0;

@@ -129,7 +129,7 @@ util::Error CampaignSpec::Validate() const {
     }
   }
   for (const std::string& policy : policies) {
-    if (dvfs::FindPolicy(policy) == nullptr) {
+    if (!dvfs::ParseStretchPolicy(policy)) {
       return util::Error::Invalid("CampaignSpec: unknown policy '" +
                                   policy + "'");
     }

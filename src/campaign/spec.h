@@ -147,8 +147,9 @@ struct CampaignSpec {
   /// Ok when the campaign is runnable: instances, shards, bins,
   /// trace_instances, model_seeds, cache_capacity and window positive,
   /// oracle_rate in [0, 1], threshold in (0, 1], histogram edges
-  /// positive, every axis non-empty, policies registered, storm names
-  /// unique and every storm valid.
+  /// positive, every axis non-empty, every policy a name
+  /// dvfs::ParseStretchPolicy knows, storm names unique and every storm
+  /// valid.
   util::Error Validate() const;
 };
 

@@ -283,6 +283,9 @@ ctg::BranchProbabilities CaseProbabilities(const ctg::Ctg& graph,
 Report RunCase(const FuzzCase& c) {
   Report report;
   try {
+    const std::optional<dvfs::StretchPolicy> policy =
+        dvfs::ParseStretchPolicy(c.policy);
+    ACTG_CHECK(policy.has_value(), "unknown policy '" + c.policy + "'");
     const ctg::ActivationAnalysis analysis(c.graph);
     const ctg::BranchProbabilities probs =
         CaseProbabilities(c.graph, c.prob_seed);
@@ -305,7 +308,7 @@ Report RunCase(const FuzzCase& c) {
     if (deadline > 0.0) {
       expect.deadline_feasible =
           sim::MaxScenarioMakespan(schedule) <= deadline + 1e-9;
-      dvfs::ApplyPolicy(c.policy, schedule, probs);
+      dvfs::Stretch(*policy, schedule, probs);
       report.Merge(CheckSchedule(schedule, expect));
     }
 
@@ -365,7 +368,7 @@ Report RunCase(const FuzzCase& c) {
         dvfs::ScheduleTableOptions table_options;
         table_options.points_per_fork = 2;
         table_options.dls = dls;
-        table_options.policy = c.policy;
+        table_options.policy = *policy;
         table.emplace(c.graph, analysis, c.platform, table_options);
         options.reschedule.table = &*table;
       }
@@ -504,6 +507,9 @@ FuzzCase ParseReproImpl(util::TextReader& reader) {
     }
     if (directive == "policy") {
       policy = one();
+      if (!dvfs::ParseStretchPolicy(policy)) {
+        reader.Fail("unknown policy '" + policy + "'");
+      }
     } else if (directive == "mutex_aware") {
       mutex_aware = reader.Flag(one());
     } else if (directive == "prob_weighted") {

@@ -2,38 +2,20 @@
 
 namespace actg::dvfs {
 
-namespace {
-
-sched::Schedule SchedulePipeline(const Policy& policy,
-                                 const ctg::Ctg& graph,
-                                 const ctg::ActivationAnalysis& analysis,
-                                 const arch::Platform& platform,
-                                 const ctg::BranchProbabilities& probs,
-                                 const PolicyRunOptions& options) {
-  sched::Schedule schedule =
-      sched::RunDls(graph, analysis, platform, probs, options.dls);
-  PathEngine engine(
-      graph, analysis, platform,
-      PathEngineOptions{.max_paths = options.stretch.max_paths});
-  PolicyContext ctx;
-  ctx.schedule = &schedule;
-  ctx.probs = &probs;
-  ctx.stretch = options.stretch;
-  ctx.nlp = options.nlp;
-  policy.Apply(engine, ctx);
-  return schedule;
-}
-
-}  // namespace
-
-sched::Schedule RunWithPolicy(std::string_view policy,
+sched::Schedule RunWithPolicy(StretchPolicy policy,
                               const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,
                               const ctg::BranchProbabilities& probs,
                               const PolicyRunOptions& options) {
-  return SchedulePipeline(GetPolicy(policy), graph, analysis, platform,
-                          probs, options);
+  sched::Schedule schedule =
+      sched::RunDls(graph, analysis, platform, probs, options.dls);
+  PathEngine engine(
+      graph, analysis, platform,
+      PathEngineOptions{.max_paths = options.stretch.max_paths});
+  Stretch(policy, schedule, probs, options.stretch, 0.0, nullptr,
+          options.nlp, &engine);
+  return schedule;
 }
 
 sched::Schedule RunReference1(const ctg::Ctg& graph,
@@ -45,8 +27,8 @@ sched::Schedule RunReference1(const ctg::Ctg& graph,
   options.dls.level_policy = sched::LevelPolicy::kWorstCase;
   options.dls.mutex_aware = false;
   options.dls.fixed_mapping = &mapping;
-  return RunWithPolicy("proportional", graph, analysis, platform, probs,
-                       options);
+  return RunWithPolicy(StretchPolicy::kProportional, graph, analysis,
+                       platform, probs, options);
 }
 
 sched::Schedule RunReference2(const ctg::Ctg& graph,
@@ -57,8 +39,8 @@ sched::Schedule RunReference2(const ctg::Ctg& graph,
   PolicyRunOptions run_options;
   run_options.stretch = options.stretch;
   run_options.nlp = options;
-  return RunWithPolicy("nlp", graph, analysis, platform, probs,
-                       run_options);
+  return RunWithPolicy(StretchPolicy::kNlp, graph, analysis, platform,
+                       probs, run_options);
 }
 
 }  // namespace actg::dvfs

@@ -17,8 +17,6 @@
 #ifndef ACTG_DVFS_ALGORITHMS_H
 #define ACTG_DVFS_ALGORITHMS_H
 
-#include <string_view>
-
 #include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
@@ -28,21 +26,22 @@
 
 namespace actg::dvfs {
 
-/// Knobs of RunWithPolicy: the scheduler configuration plus the policy
-/// context options forwarded to the selected stretcher.
+/// Knobs of RunWithPolicy: the scheduler configuration plus the options
+/// forwarded to the selected stretcher.
 struct PolicyRunOptions {
   sched::DlsOptions dls;
   StretchOptions stretch;
-  /// Consumed by the "nlp" policy only (its path-analysis knobs are
+  /// Consumed by StretchPolicy::kNlp only (its path-analysis knobs are
   /// overridden by \p stretch).
   NlpOptions nlp;
 };
 
-/// Generic pipeline: modified DLS followed by the named stretch policy
-/// from the registry (see policy.h). The paper's online algorithm is
-/// RunWithPolicy("online", ...); the two reference wrappers below pin
-/// the reference algorithms' scheduler configurations.
-sched::Schedule RunWithPolicy(std::string_view policy,
+/// Generic pipeline: modified DLS followed by \p policy's stretcher
+/// (see policy.h). The paper's online algorithm is
+/// RunWithPolicy(StretchPolicy::kOnline, ...); the two reference
+/// wrappers below pin the reference algorithms' scheduler
+/// configurations.
+sched::Schedule RunWithPolicy(StretchPolicy policy,
                               const ctg::Ctg& graph,
                               const ctg::ActivationAnalysis& analysis,
                               const arch::Platform& platform,

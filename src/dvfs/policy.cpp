@@ -1,8 +1,7 @@
 #include "dvfs/policy.h"
 
-#include <map>
-#include <mutex>
-#include <utility>
+#include <algorithm>
+#include <string>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -11,86 +10,67 @@ namespace actg::dvfs {
 
 namespace {
 
-class OnlinePolicy final : public Policy {
- public:
-  std::string_view Name() const override { return "online"; }
-
- protected:
-  StretchStats DoApply(PathEngine& engine,
-                       PolicyContext& ctx) const override {
-    ACTG_CHECK(ctx.probs != nullptr,
-               "policy 'online' requires branch probabilities");
-    return StretchOnline(*ctx.schedule, *ctx.probs, ctx.stretch, &engine,
-                         ctx.warm);
+StretchStats Dispatch(StretchPolicy policy, sched::Schedule& schedule,
+                      const ctg::BranchProbabilities& probs,
+                      const StretchOptions& options,
+                      const StretchWarmStart* warm, const NlpOptions& nlp,
+                      PathEngine* engine) {
+  switch (policy) {
+    case StretchPolicy::kOnline:
+      return StretchOnline(schedule, probs, options, engine, warm);
+    case StretchPolicy::kProportional:
+      return StretchProportional(schedule, options, engine, warm);
+    case StretchPolicy::kNlp: {
+      NlpOptions nlp_options = nlp;
+      nlp_options.stretch = options;
+      return StretchNlp(schedule, probs, nlp_options, engine);
+    }
   }
-};
-
-class ProportionalPolicy final : public Policy {
- public:
-  std::string_view Name() const override { return "proportional"; }
-
- protected:
-  StretchStats DoApply(PathEngine& engine,
-                       PolicyContext& ctx) const override {
-    return StretchProportional(*ctx.schedule, ctx.stretch, &engine,
-                               ctx.warm);
-  }
-};
-
-class NlpPolicy final : public Policy {
- public:
-  std::string_view Name() const override { return "nlp"; }
-
- protected:
-  StretchStats DoApply(PathEngine& engine,
-                       PolicyContext& ctx) const override {
-    ACTG_CHECK(ctx.probs != nullptr,
-               "policy 'nlp' requires branch probabilities");
-    NlpOptions options = ctx.nlp;
-    options.stretch = ctx.stretch;
-    return StretchNlp(*ctx.schedule, *ctx.probs, options, &engine);
-  }
-};
-
-/// The process-wide registry. Guarded by a mutex so tests registering
-/// custom policies and pool workers resolving built-ins never race.
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, std::unique_ptr<Policy>, std::less<>> policies;
-
-  Registry() {
-    policies.emplace("online", std::make_unique<OnlinePolicy>());
-    policies.emplace("proportional",
-                     std::make_unique<ProportionalPolicy>());
-    policies.emplace("nlp", std::make_unique<NlpPolicy>());
-  }
-
-  static Registry& Instance() {
-    static Registry registry;
-    return registry;
-  }
-};
+  throw InvalidArgument("unknown stretch policy " +
+                        std::to_string(static_cast<int>(policy)));
+}
 
 }  // namespace
 
-StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
-  ACTG_CHECK(ctx.schedule != nullptr,
-             "PolicyContext: schedule must be set");
+const char* StretchPolicyName(StretchPolicy policy) {
+  switch (policy) {
+    case StretchPolicy::kOnline:
+      return "online";
+    case StretchPolicy::kProportional:
+      return "proportional";
+    case StretchPolicy::kNlp:
+      return "nlp";
+  }
+  return "unknown";
+}
+
+std::optional<StretchPolicy> ParseStretchPolicy(std::string_view name) {
+  if (name == "online") return StretchPolicy::kOnline;
+  if (name == "proportional") return StretchPolicy::kProportional;
+  if (name == "nlp") return StretchPolicy::kNlp;
+  return std::nullopt;
+}
+
+StretchStats Stretch(StretchPolicy policy, sched::Schedule& schedule,
+                     const ctg::BranchProbabilities& probs,
+                     const StretchOptions& options, double speed_floor,
+                     const StretchWarmStart* warm, const NlpOptions& nlp,
+                     PathEngine* engine) {
   obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.stretch",
                        "dvfs");
   if (span.enabled()) {
-    span.AddArg(obs::StrArg("policy", std::string(Name())));
+    span.AddArg(obs::StrArg("policy", StretchPolicyName(policy)));
   }
-  const StretchStats stats = DoApply(engine, ctx);
-  if (ctx.speed_floor > 0.0) {
-    // Clamp hook: raise every ratio to the floor. Faster-only, so the
-    // deadline guarantee of the stretcher is preserved by construction.
-    sched::Schedule& schedule = *ctx.schedule;
+  const StretchStats stats =
+      Dispatch(policy, schedule, probs, options, warm, nlp, engine);
+  if (speed_floor > 0.0) {
+    // Raise every ratio to the floor. Faster-only, so the deadline
+    // guarantee of the stretcher is preserved by construction.
     bool changed = false;
     for (TaskId task : schedule.graph().TaskIds()) {
       sched::TaskPlacement& placement = schedule.placement(task);
       const double clamped = schedule.platform().QuantizeSpeed(
-          placement.pe, std::max(placement.speed_ratio, ctx.speed_floor));
+          placement.pe, std::max(placement.speed_ratio, speed_floor));
       if (clamped != placement.speed_ratio) {
         placement.speed_ratio = clamped;
         changed = true;
@@ -99,73 +79,13 @@ StretchStats Policy::Apply(PathEngine& engine, PolicyContext& ctx) const {
     if (changed) schedule.RecomputeTimes();
   }
   if (span.enabled()) {
-    if (ctx.speed_floor > 0.0) {
-      span.AddArg(obs::NumArg("speed_floor", ctx.speed_floor));
+    if (speed_floor > 0.0) {
+      span.AddArg(obs::NumArg("speed_floor", speed_floor));
     }
     span.AddArg(obs::IntArg(
         "paths", static_cast<std::int64_t>(stats.path_count)));
   }
   return stats;
-}
-
-const Policy* FindPolicy(std::string_view name) {
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
-  const auto it = registry.policies.find(name);
-  return it == registry.policies.end() ? nullptr : it->second.get();
-}
-
-const Policy& GetPolicy(std::string_view name) {
-  const Policy* policy = FindPolicy(name);
-  if (policy == nullptr) {
-    std::string known;
-    for (const std::string& n : PolicyNames()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw InvalidArgument("unknown stretch policy '" + std::string(name) +
-                          "'; registered: " + known);
-  }
-  return *policy;
-}
-
-std::vector<std::string> PolicyNames() {
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
-  std::vector<std::string> names;
-  names.reserve(registry.policies.size());
-  for (const auto& [name, policy] : registry.policies) {
-    names.push_back(name);
-  }
-  return names;  // std::map iterates sorted
-}
-
-void RegisterPolicy(std::unique_ptr<Policy> policy) {
-  ACTG_CHECK(policy != nullptr && !policy->Name().empty(),
-             "RegisterPolicy: policy must be non-null and named");
-  Registry& registry = Registry::Instance();
-  const std::lock_guard<std::mutex> lock(registry.mu);
-  const std::string name(policy->Name());
-  const auto [it, inserted] =
-      registry.policies.emplace(name, std::move(policy));
-  (void)it;
-  ACTG_CHECK(inserted, "RegisterPolicy: duplicate policy '" + name + "'");
-}
-
-StretchStats ApplyPolicy(std::string_view name, sched::Schedule& schedule,
-                         const ctg::BranchProbabilities& probs,
-                         const StretchOptions& options,
-                         PathEngine* engine) {
-  const Policy& policy = GetPolicy(name);
-  PolicyContext ctx;
-  ctx.schedule = &schedule;
-  ctx.probs = &probs;
-  ctx.stretch = options;
-  if (engine != nullptr) return policy.Apply(*engine, ctx);
-  PathEngine transient(schedule.graph(), schedule.analysis(),
-                       schedule.platform(),
-                       PathEngineOptions{.max_paths = options.max_paths});
-  return policy.Apply(transient, ctx);
 }
 
 }  // namespace actg::dvfs

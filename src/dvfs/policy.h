@@ -1,28 +1,23 @@
 /// \file policy.h
-/// The unified stretcher interface.
+/// The closed set of stretch policies and their one entry point.
 ///
-/// PR 2 left three parallel free-function entry points (StretchOnline /
-/// StretchProportional / StretchNlp) with slightly different positional
-/// signatures; every consumer that wanted to select a stretcher at
-/// runtime (the ablation bench, the CLI, the experiment builder) had to
-/// branch over them by hand. A Policy packages one stretcher behind
-/// Name() + Apply(PathEngine&, PolicyContext&), and a string-keyed
-/// registry makes the selection data-driven: bench::ExperimentSpec,
-/// actg_cli --policy and the adaptive controller all resolve policies
-/// by name. The legacy free functions remain the implementation (and
-/// stay callable for tests) but are no longer referenced outside
-/// src/dvfs.
+/// The paper's Table 1 compares exactly three stretchers (stretch.h):
+/// the Fig. 2 online heuristic, the probability-blind Reference
+/// Algorithm 1 [10] and the NLP stage of Reference Algorithm 2 [17].
+/// StretchPolicy names them; Stretch() dispatches to the matching free
+/// function, so every consumer that selects a stretcher at run time
+/// (the ablation bench, the CLI, the experiment builder, the adaptive
+/// controller) goes through one call. Text formats and option structs
+/// that carry a policy *name* parse it once with ParseStretchPolicy.
 ///
-/// Every Apply() records a "dvfs.stretch" span on the current trace
+/// Every Stretch() records a "dvfs.stretch" span on the current trace
 /// session (obs/trace.h) with the policy name and resulting path count.
 
 #ifndef ACTG_DVFS_POLICY_H
 #define ACTG_DVFS_POLICY_H
 
-#include <memory>
-#include <string>
+#include <optional>
 #include <string_view>
-#include <vector>
 
 #include "ctg/condition.h"
 #include "dvfs/path_engine.h"
@@ -31,72 +26,45 @@
 
 namespace actg::dvfs {
 
-/// Everything a stretch policy may consume or produce. The schedule is
-/// required; probs is required by the probability-aware policies
-/// ("online", "nlp") and ignored by "proportional". The nested nlp
-/// options apply to the NLP policy only; its path-analysis knobs are
-/// overridden by \p stretch so all policies honor one max_paths.
-struct PolicyContext {
-  sched::Schedule* schedule = nullptr;
-  const ctg::BranchProbabilities* probs = nullptr;
-  StretchOptions stretch;
-  NlpOptions nlp;
-  /// Speed-floor clamp applied by Policy::Apply *after* the concrete
-  /// stretcher: every task's speed ratio is raised to at least this
-  /// value (then quantized by the PE) and the schedule times are
-  /// recomputed. 0 disables the clamp. The degradation ladder sets 1.0
-  /// ("panic to nominal") so a reschedule during an overrun burst never
-  /// voltage-scales into the deadline it is trying to save; raising
-  /// speeds only shortens paths, so a feasible stretch stays feasible.
-  double speed_floor = 0.0;
-  /// Optional warm-start seed (see dvfs::StretchWarmStart). Honored by
-  /// "online" and "proportional"; "nlp" ignores it and recomputes from
-  /// scratch. Ignoring a warm start is always correct — it only trades
-  /// speed for recomputation.
-  const StretchWarmStart* warm = nullptr;
+/// Which stretcher Stretch() runs.
+enum class StretchPolicy {
+  kOnline,        ///< StretchOnline, the paper's heuristic (Fig. 2)
+  kProportional,  ///< StretchProportional, Reference Algorithm 1 [10]
+  kNlp,           ///< StretchNlp, Reference Algorithm 2 [17]
 };
 
-/// One named stretcher. Implementations are stateless and immutable, so
-/// a registered Policy may be applied concurrently from pool workers.
-class Policy {
- public:
-  virtual ~Policy() = default;
+/// Stable lowercase name ("online", "proportional", "nlp"); "unknown",
+/// which does not parse back, for a value outside the enum.
+const char* StretchPolicyName(StretchPolicy policy);
 
-  /// Registry key, e.g. "online".
-  virtual std::string_view Name() const = 0;
+/// Inverse of StretchPolicyName; nullopt on an unknown name.
+std::optional<StretchPolicy> ParseStretchPolicy(std::string_view name);
 
-  /// Stretches ctx.schedule in place on \p engine, recording the
-  /// "dvfs.stretch" trace span around the concrete stretcher.
-  StretchStats Apply(PathEngine& engine, PolicyContext& ctx) const;
-
- protected:
-  virtual StretchStats DoApply(PathEngine& engine,
-                               PolicyContext& ctx) const = 0;
-};
-
-/// Looks up a registered policy; nullptr when unknown.
-const Policy* FindPolicy(std::string_view name);
-
-/// Looks up a registered policy; throws actg::InvalidArgument listing
-/// the registered names when unknown.
-const Policy& GetPolicy(std::string_view name);
-
-/// Names of all registered policies, sorted (built-ins: "nlp",
-/// "online", "proportional").
-std::vector<std::string> PolicyNames();
-
-/// Registers a custom policy; throws actg::InvalidArgument on a
-/// duplicate or empty name. The registry owns the policy for the rest
-/// of the process lifetime.
-void RegisterPolicy(std::unique_ptr<Policy> policy);
-
-/// Convenience entry point: applies the named policy to \p schedule,
-/// building a transient PathEngine when \p engine is null (identical
-/// results either way — the engine only pools storage).
-StretchStats ApplyPolicy(std::string_view name, sched::Schedule& schedule,
-                         const ctg::BranchProbabilities& probs,
-                         const StretchOptions& options = {},
-                         PathEngine* engine = nullptr);
+/// Stretches \p schedule in place with \p policy, recording the
+/// "dvfs.stretch" trace span around the stretcher. \p probs is ignored
+/// by kProportional. \p options' path-analysis knobs apply to every
+/// policy (they override \p nlp.stretch); the rest of \p nlp applies to
+/// kNlp only. \p warm is an optional warm-start seed (see
+/// StretchWarmStart), honored by kOnline and kProportional; kNlp
+/// ignores it, which is always correct — it only trades speed for
+/// recomputation.
+///
+/// \p speed_floor > 0 clamps *after* the stretcher: every task's speed
+/// ratio is raised to at least this value (then quantized by the PE)
+/// and the schedule times are recomputed. The degradation ladder sets
+/// 1.0 ("panic to nominal") so a reschedule during an overrun burst
+/// never voltage-scales into the deadline it is trying to save; raising
+/// speeds only shortens paths, so a feasible stretch stays feasible.
+///
+/// A null \p engine makes the stretcher build a transient PathEngine;
+/// results are identical either way (the engine only pools storage).
+StretchStats Stretch(StretchPolicy policy, sched::Schedule& schedule,
+                     const ctg::BranchProbabilities& probs,
+                     const StretchOptions& options = {},
+                     double speed_floor = 0.0,
+                     const StretchWarmStart* warm = nullptr,
+                     const NlpOptions& nlp = {},
+                     PathEngine* engine = nullptr);
 
 }  // namespace actg::dvfs
 

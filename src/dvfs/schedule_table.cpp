@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "dvfs/path_engine.h"
-#include "dvfs/policy.h"
 #include "util/error.h"
 
 namespace actg::dvfs {
@@ -69,9 +69,10 @@ util::Error ScheduleTableOptions::Validate() const {
     return util::Error::Invalid(
         "ScheduleTableOptions: max_entries must be > 0");
   }
-  if (FindPolicy(policy) == nullptr) {
+  if (!ParseStretchPolicy(StretchPolicyName(policy))) {
     return util::Error::Invalid(
-        "ScheduleTableOptions: unknown stretch policy '" + policy + "'");
+        "ScheduleTableOptions: unknown stretch policy " +
+        std::to_string(static_cast<int>(policy)));
   }
   if (util::Error err = dls.Validate()) return err;
   if (util::Error err = stretch.Validate()) return err;
@@ -137,12 +138,9 @@ ScheduleTable::ScheduleTable(const ctg::Ctg& graph,
     sched::Schedule schedule =
         sched::RunDls(graph, analysis, platform, probs, options_.dls,
                       &engine.dls_workspace());
-    PolicyContext ctx;
-    ctx.schedule = &schedule;
-    ctx.probs = &probs;
-    ctx.stretch = options_.stretch;
     const StretchStats stats =
-        GetPolicy(options_.policy).Apply(engine, ctx);
+        Stretch(options_.policy, schedule, probs, options_.stretch, 0.0,
+                nullptr, {}, &engine);
     entries_.push_back(ScheduleTableEntry{std::move(probs),
                                           std::move(flat),
                                           std::move(schedule), stats});
@@ -194,7 +192,7 @@ MaterializedSchedule ScheduleTable::Materialize(
   const ScheduleTableEntry& e1 = entries_[nearest];
   MaterializedSchedule out{e1.schedule, e1.stretch, nearest, false};
   const double d1 = Distance(probs, e1);
-  if (!options_.interpolate || d1 == 0.0) return out;
+  if (d1 == 0.0) return out;
 
   // Second-nearest entry sharing the schedule shape; only then is the
   // speed blend meaningful (and feasibility-safe, see file comment).

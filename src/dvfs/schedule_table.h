@@ -10,10 +10,9 @@
 /// point gets a full DLS + stretch pass at construction time. At run
 /// time Select() finds the nearest lattice point (max-abs distance over
 /// the flattened probability vector, the same metric the adaptive
-/// controller thresholds on) and Materialize() returns its schedule —
-/// optionally *interpolating the speed vector* with the second-nearest
-/// entry when both entries agree on mapping, ordering and pseudo
-/// edges.
+/// controller thresholds on) and Materialize() returns its schedule,
+/// *interpolating the speed vector* with the second-nearest entry when
+/// both entries agree on mapping, ordering and pseudo edges.
 ///
 /// Exactness contract: a materialized schedule is one of the
 /// precomputed lattice schedules (bit-identical to recomputing at the
@@ -35,13 +34,13 @@
 #define ACTG_DVFS_SCHEDULE_TABLE_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "arch/platform.h"
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "ctg/graph.h"
+#include "dvfs/policy.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "sched/schedule.h"
@@ -61,11 +60,8 @@ struct ScheduleTableOptions {
   sched::DlsOptions dls;
   /// Stretcher configuration used for every lattice point.
   StretchOptions stretch;
-  /// Stretch policy, resolved through the dvfs::Policy registry.
-  std::string policy = "online";
-  /// When true (default), Materialize blends the speed vector with the
-  /// second-nearest entry when it shares mapping/ordering/pseudo edges.
-  bool interpolate = true;
+  /// Stretch policy run at every lattice point.
+  StretchPolicy policy = StretchPolicy::kOnline;
 
   /// Ok when the knobs are usable.
   util::Error Validate() const;
@@ -115,8 +111,8 @@ class ScheduleTable {
   std::size_t Select(const ctg::BranchProbabilities& probs) const;
 
   /// The schedule for \p probs: the nearest entry's, with the speed
-  /// vector optionally interpolated toward the second-nearest
-  /// compatible entry (see file comment for the feasibility argument).
+  /// vector interpolated toward the second-nearest compatible entry
+  /// when there is one (see file comment for the feasibility argument).
   MaterializedSchedule Materialize(
       const ctg::BranchProbabilities& probs) const;
 

@@ -23,7 +23,7 @@ util::Error TenantRequest::Validate() const {
     return util::Error::Invalid("TenantRequest '" + name +
                                 "': window must be > 0");
   }
-  if (dvfs::FindPolicy(policy) == nullptr) {
+  if (!dvfs::ParseStretchPolicy(policy)) {
     return util::Error::Invalid("TenantRequest '" + name +
                                 "': unknown policy '" + policy + "'");
   }

@@ -50,7 +50,7 @@ struct TenantRequest {
   std::string policy = "online";
 
   /// Ok when the request is runnable: non-empty name, instances > 0,
-  /// threshold in (0, 1], window > 0, registered policy.
+  /// threshold in (0, 1], window > 0, a known stretch policy name.
   util::Error Validate() const;
 };
 

@@ -26,7 +26,9 @@ class CheckTest : public ::testing::Test {
         schedule_(sched::RunDls(ex_.graph, analysis_, ex_.platform,
                                 ex_.probs)) {}
 
-  void Stretch() { dvfs::ApplyPolicy("online", schedule_, ex_.probs); }
+  void Stretch() {
+    dvfs::Stretch(dvfs::StretchPolicy::kOnline, schedule_, ex_.probs);
+  }
 
   apps::Fig1Example ex_;
   ctg::ActivationAnalysis analysis_;

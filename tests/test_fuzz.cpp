@@ -185,6 +185,7 @@ TEST(FuzzRepro, MalformedInputIsAnErrorNotACrash) {
   expect_fail(with_line("mutex_aware", "mutex_aware 1x"));
   expect_fail(with_line("adaptive", "adaptive 7"));
   expect_fail(with_line("policy", "policy online extra"));
+  expect_fail(with_line("policy", "policy bogus"));
 }
 
 // ---------------------------------------------------------------------------
@@ -259,6 +260,35 @@ TEST(FuzzCorpus, CommittedReprosReplayClean) {
     ++replayed;
   }
   EXPECT_GE(replayed, 3u) << "corpus unexpectedly empty: " << dir;
+}
+
+// Malformed corpus: every tests/corpus/fuzzcase file must be rejected
+// with the diagnostic pinned in its '# expect: <substring>' first line.
+// The directory sits outside corpus/check, so the replay above and the
+// replay globs never see these files.
+TEST(FuzzMalformedCorpus, EveryFileIsRejectedWithItsPinnedDiagnostic) {
+  const std::filesystem::path dir =
+      std::filesystem::path(ACTG_TEST_CORPUS_DIR) / "fuzzcase";
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::size_t cases = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".fuzzcase") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    std::ifstream is(entry.path());
+    std::string first;
+    std::getline(is, first);
+    const std::string marker = "# expect: ";
+    ASSERT_EQ(first.rfind(marker, 0), 0u)
+        << "corpus file lacks a '# expect: <substring>' first line";
+    is.seekg(0);
+    const util::Expected<FuzzCase> parsed = ParseRepro(is);
+    ASSERT_FALSE(parsed.ok()) << "malformed input parsed successfully";
+    EXPECT_NE(parsed.error().message().find(first.substr(marker.size())),
+              std::string::npos)
+        << "diagnostic was: " << parsed.error().message();
+    ++cases;
+  }
+  EXPECT_GE(cases, 1u) << "corpus went missing: " << dir;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "adaptive/rescheduler.h"
@@ -13,6 +14,7 @@
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "dvfs/path_engine.h"
+#include "dvfs/policy.h"
 #include "dvfs/schedule_table.h"
 #include "dvfs/stretch.h"
 #include "runtime/metrics.h"
@@ -611,8 +613,30 @@ TEST(RescheduleOptionsValidate, ModeNamesRoundTrip) {
 TEST(ReschedulerConfigValidate, RejectsUnknownPolicy) {
   const FacadeCase fc;
   adaptive::ReschedulerConfig config;
-  config.policy = "no-such-policy";
+  config.policy = static_cast<dvfs::StretchPolicy>(99);
   EXPECT_FALSE(config.Validate().ok());
+  EXPECT_THROW(adaptive::Rescheduler(fc.graph, *fc.analysis, fc.platform,
+                                     config),
+               actg::Error);
+}
+
+// Table mode serves the table's schedules as the config's own, so a
+// table stretched by another policy must not be accepted.
+TEST(ReschedulerConfigValidate, RejectsTableOfAnotherPolicy) {
+  const FacadeCase fc;
+  dvfs::ScheduleTableOptions toptions;
+  toptions.points_per_fork = 2;
+  const dvfs::ScheduleTable table(fc.graph, *fc.analysis, fc.platform,
+                                  toptions);
+  adaptive::ReschedulerConfig config;
+  config.reschedule.mode = adaptive::RescheduleMode::kTable;
+  config.reschedule.table = &table;
+  EXPECT_TRUE(config.Validate().ok());
+  config.policy = dvfs::StretchPolicy::kProportional;
+  const util::Error err = config.Validate();
+  ASSERT_FALSE(err.ok());
+  EXPECT_NE(err.message().find("'online'"), std::string::npos)
+      << err.message();
   EXPECT_THROW(adaptive::Rescheduler(fc.graph, *fc.analysis, fc.platform,
                                      config),
                actg::Error);
@@ -625,6 +649,9 @@ TEST(ScheduleTableOptionsValidate, RejectsDegenerateLattice) {
   EXPECT_FALSE(options.Validate().ok());
   options.points_per_fork = 5;
   options.max_entries = 0;
+  EXPECT_FALSE(options.Validate().ok());
+  options.max_entries = 4096;
+  options.policy = static_cast<dvfs::StretchPolicy>(99);
   EXPECT_FALSE(options.Validate().ok());
 }
 

@@ -37,8 +37,8 @@ TEST(Table1Shape, OnlineBeatsRef1AndRef2BeatsOnline) {
       probs.Set(fork, {p, 1.0 - p});
     }
     const double online = sim::ExpectedEnergy(
-        dvfs::RunWithPolicy("online", test.rc.graph, analysis,
-                            test.rc.platform, probs),
+        dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, test.rc.graph,
+                            analysis, test.rc.platform, probs),
         probs);
     const double ref1 = sim::ExpectedEnergy(
         dvfs::RunReference1(test.rc.graph, analysis, test.rc.platform,

@@ -1,11 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include "adaptive/controller.h"
 #include "apps/common.h"
 #include "apps/fig1_example.h"
@@ -19,7 +13,7 @@
 namespace actg::dvfs {
 namespace {
 
-class PolicyFixture : public ::testing::Test {
+struct PolicyFixture : public ::testing::Test {
  protected:
   PolicyFixture()
       : ex_(apps::MakeFig1Example()),
@@ -45,61 +39,64 @@ void ExpectSameStretch(const sched::Schedule& a, const sched::Schedule& b) {
   EXPECT_DOUBLE_EQ(a.Makespan(), b.Makespan());
 }
 
-TEST_F(PolicyFixture, RegistryListsBuiltins) {
-  const std::vector<std::string> names = PolicyNames();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  for (const char* name : {"nlp", "online", "proportional"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << name;
-    const Policy* policy = FindPolicy(name);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->Name(), name);
-    EXPECT_EQ(&GetPolicy(name), policy);
+TEST(StretchPolicyName, RoundTripsThroughParse) {
+  for (const StretchPolicy policy :
+       {StretchPolicy::kOnline, StretchPolicy::kProportional,
+        StretchPolicy::kNlp}) {
+    EXPECT_EQ(ParseStretchPolicy(StretchPolicyName(policy)), policy);
   }
+  // The names are what text formats and option structs carry.
+  EXPECT_STREQ(StretchPolicyName(StretchPolicy::kOnline), "online");
+  EXPECT_STREQ(StretchPolicyName(StretchPolicy::kProportional),
+               "proportional");
+  EXPECT_STREQ(StretchPolicyName(StretchPolicy::kNlp), "nlp");
+  EXPECT_FALSE(ParseStretchPolicy("simulated-annealing").has_value());
 }
 
 TEST_F(PolicyFixture, UnknownPolicyIsReported) {
-  EXPECT_EQ(FindPolicy("simulated-annealing"), nullptr);
-  try {
-    GetPolicy("simulated-annealing");
-    FAIL() << "GetPolicy should throw on an unknown name";
-  } catch (const InvalidArgument& e) {
-    // The error lists the registered names so CLI users can recover.
-    EXPECT_NE(std::string(e.what()).find("online"), std::string::npos);
-  }
+  // A name outside the closed set is reported by name where it enters.
+  adaptive::AdaptiveOptions options;
+  options.policy = "simulated-annealing";
+  const util::Error err = options.Validate();
+  ASSERT_TRUE(static_cast<bool>(err));
+  EXPECT_NE(err.message().find("'simulated-annealing'"), std::string::npos)
+      << err.message();
+  // An out-of-range value has no name that parses back, and Stretch
+  // refuses it instead of leaving the schedule unstretched.
+  const auto bogus = static_cast<StretchPolicy>(99);
+  EXPECT_FALSE(ParseStretchPolicy(StretchPolicyName(bogus)).has_value());
   sched::Schedule s = Scheduled();
-  EXPECT_THROW(ApplyPolicy("simulated-annealing", s, probs_),
-               InvalidArgument);
+  EXPECT_THROW(Stretch(bogus, s, probs_), InvalidArgument);
 }
 
 TEST_F(PolicyFixture, PoliciesMatchLegacyFreeFunctions) {
-  // The registry is a re-packaging, not a re-implementation: each policy
-  // must stretch bit-identically to the free function it wraps.
+  // Stretch() is a dispatch, not a re-implementation: each policy must
+  // stretch bit-identically to the free function it selects.
   struct Pair {
-    const char* name;
+    StretchPolicy policy;
     StretchStats (*legacy)(sched::Schedule&,
                            const ctg::BranchProbabilities&);
   };
   const Pair pairs[] = {
-      {"online",
+      {StretchPolicy::kOnline,
        [](sched::Schedule& s, const ctg::BranchProbabilities& p) {
          return StretchOnline(s, p);
        }},
-      {"proportional",
+      {StretchPolicy::kProportional,
        [](sched::Schedule& s, const ctg::BranchProbabilities&) {
          return StretchProportional(s);
        }},
-      {"nlp",
+      {StretchPolicy::kNlp,
        [](sched::Schedule& s, const ctg::BranchProbabilities& p) {
          return StretchNlp(s, p);
        }},
   };
   for (const Pair& pair : pairs) {
-    SCOPED_TRACE(pair.name);
+    SCOPED_TRACE(StretchPolicyName(pair.policy));
     sched::Schedule via_policy = Scheduled();
     sched::Schedule via_legacy = Scheduled();
     const StretchStats policy_stats =
-        ApplyPolicy(pair.name, via_policy, probs_);
+        Stretch(pair.policy, via_policy, probs_);
     const StretchStats legacy_stats = pair.legacy(via_legacy, probs_);
     ExpectSameStretch(via_policy, via_legacy);
     EXPECT_EQ(policy_stats.path_count, legacy_stats.path_count);
@@ -110,19 +107,22 @@ TEST_F(PolicyFixture, PoliciesMatchLegacyFreeFunctions) {
   }
 }
 
-TEST_F(PolicyFixture, ApplyPolicyWithExplicitEngineMatchesTransient) {
+TEST_F(PolicyFixture, StretchWithExplicitEngineMatchesTransient) {
   PathEngine engine(ex_.graph, analysis_, ex_.platform);
   sched::Schedule pooled = Scheduled();
   sched::Schedule transient = Scheduled();
-  ApplyPolicy("online", pooled, probs_, {}, &engine);
-  ApplyPolicy("online", transient, probs_);
+  Stretch(StretchPolicy::kOnline, pooled, probs_, {}, 0.0, nullptr, {},
+          &engine);
+  Stretch(StretchPolicy::kOnline, transient, probs_);
   ExpectSameStretch(pooled, transient);
 }
 
 TEST_F(PolicyFixture, RunWithPolicyMatchesNamedWrappers) {
-  EXPECT_THROW(RunWithPolicy("nope", ex_.graph, analysis_, ex_.platform,
-                             probs_),
-               InvalidArgument);
+  // Reference Algorithm 2 is the modified DLS followed by kNlp.
+  ExpectSameStretch(
+      RunWithPolicy(StretchPolicy::kNlp, ex_.graph, analysis_, ex_.platform,
+                    probs_),
+      RunReference2(ex_.graph, analysis_, ex_.platform, probs_));
 }
 
 TEST_F(PolicyFixture, AdaptiveControllerRejectsUnknownPolicy) {
@@ -144,92 +144,6 @@ TEST_F(PolicyFixture, AdaptiveControllerHonorsSelectedPolicy) {
   sched::Schedule expected = Scheduled();
   StretchProportional(expected);
   ExpectSameStretch(controller.current_schedule(), expected);
-}
-
-/// Custom policy used by the registration test: runs "proportional"
-/// under a different name.
-class EchoPolicy : public Policy {
- public:
-  std::string_view Name() const override { return "test-echo"; }
-
- protected:
-  StretchStats DoApply(PathEngine& engine,
-                       PolicyContext& ctx) const override {
-    return GetPolicy("proportional").Apply(engine, ctx);
-  }
-};
-
-TEST_F(PolicyFixture, RegisterCustomPolicy) {
-  if (FindPolicy("test-echo") == nullptr) {
-    RegisterPolicy(std::make_unique<EchoPolicy>());
-  }
-  // Duplicate registration is rejected; the first stays installed.
-  EXPECT_THROW(RegisterPolicy(std::make_unique<EchoPolicy>()),
-               InvalidArgument);
-  sched::Schedule via_custom = Scheduled();
-  sched::Schedule via_builtin = Scheduled();
-  ApplyPolicy("test-echo", via_custom, probs_);
-  ApplyPolicy("proportional", via_builtin, probs_);
-  ExpectSameStretch(via_custom, via_builtin);
-}
-
-/// Uniquely named no-op policies for the concurrency test below.
-class NumberedPolicy : public Policy {
- public:
-  explicit NumberedPolicy(std::string name) : name_(std::move(name)) {}
-  std::string_view Name() const override { return name_; }
-
- protected:
-  StretchStats DoApply(PathEngine& engine,
-                       PolicyContext& ctx) const override {
-    return GetPolicy("proportional").Apply(engine, ctx);
-  }
-
- private:
-  std::string name_;
-};
-
-TEST_F(PolicyFixture, RegistryIsThreadSafe) {
-  // TSan regression (the tsan CI job runs this binary): writers
-  // registering fresh policies race readers resolving/listing them.
-  // Before the registry grew its mutex this was a data race on the map.
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kPerWriter = 16;
-
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        std::string name = "test-racer-" + std::to_string(w) + "-" +
-                           std::to_string(i);
-        if (FindPolicy(name) != nullptr) continue;  // re-run of the test
-        RegisterPolicy(std::make_unique<NumberedPolicy>(std::move(name)));
-      }
-    });
-  }
-  for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([r] {
-      for (int i = 0; i < kPerWriter * kWriters; ++i) {
-        const std::string name = "test-racer-" + std::to_string(r) + "-" +
-                                 std::to_string(i % kPerWriter);
-        const Policy* policy = FindPolicy(name);
-        if (policy != nullptr) EXPECT_EQ(policy->Name(), name);
-        EXPECT_NE(&GetPolicy("online"), nullptr);
-        EXPECT_GE(PolicyNames().size(), 3u);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  // Every registration won (or was already present from a prior run).
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kPerWriter; ++i) {
-      const std::string name = "test-racer-" + std::to_string(w) + "-" +
-                               std::to_string(i);
-      EXPECT_NE(FindPolicy(name), nullptr) << name;
-    }
-  }
 }
 
 }  // namespace

@@ -150,10 +150,12 @@ TEST_P(AlgorithmsFixture, AllThreePipelinesAreValidAndDeterministic) {
   const ctg::ActivationAnalysis analysis(rc.graph);
   const auto probs = apps::UniformProbabilities(rc.graph);
 
-  const auto online1 = dvfs::RunWithPolicy("online", rc.graph, analysis,
-                                           rc.platform, probs);
-  const auto online2 = dvfs::RunWithPolicy("online", rc.graph, analysis,
-                                           rc.platform, probs);
+  const auto online1 =
+      dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, rc.graph, analysis,
+                          rc.platform, probs);
+  const auto online2 =
+      dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, rc.graph, analysis,
+                          rc.platform, probs);
   const auto ref1 =
       dvfs::RunReference1(rc.graph, analysis, rc.platform, probs);
   const auto ref2 =

@@ -150,7 +150,7 @@ TEST(AlgorithmOrdering, OnlineBeatsReference1Clearly) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Pipeline pipe(seed, tgff::Category::kForkJoin, 1.3, 0.3);
     const sched::Schedule online =
-        RunWithPolicy("online", pipe.rc.graph, pipe.analysis,
+        RunWithPolicy(StretchPolicy::kOnline, pipe.rc.graph, pipe.analysis,
                       pipe.rc.platform, pipe.probs);
     const sched::Schedule ref1 = RunReference1(
         pipe.rc.graph, pipe.analysis, pipe.rc.platform, pipe.probs);

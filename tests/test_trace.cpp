@@ -453,7 +453,8 @@ TEST(ObsTrace, NullSessionRecordsNothing) {
   const apps::Fig1Example ex = apps::MakeFig1Example();
   const ctg::ActivationAnalysis analysis(ex.graph);
   const auto probs = apps::UniformProbabilities(ex.graph);
-  dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
+  dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, ex.graph, analysis,
+                      ex.platform, probs);
   EXPECT_TRUE(bystander.Events().empty());
   EXPECT_TRUE(bystander.Timeline().empty());
 }
@@ -465,7 +466,8 @@ TEST(ObsTrace, PipelineSpansBalanceAndNest) {
   const auto probs = apps::UniformProbabilities(ex.graph);
   {
     SessionGuard guard(&session);
-    dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
+    dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, ex.graph, analysis,
+                        ex.platform, probs);
   }
   const std::vector<TraceEvent> events = session.Events();
   ASSERT_FALSE(events.empty());
@@ -500,7 +502,8 @@ TEST(ObsTrace, GoldenChromeTraceFig1) {
   const auto probs = apps::UniformProbabilities(ex.graph);
   {
     SessionGuard guard(&session);
-    dvfs::RunWithPolicy("online", ex.graph, analysis, ex.platform, probs);
+    dvfs::RunWithPolicy(dvfs::StretchPolicy::kOnline, ex.graph, analysis,
+                        ex.platform, probs);
   }
   std::ostringstream out;
   WriteChromeTrace(out, session);
@@ -547,7 +550,7 @@ TEST(ObsTrace, JobsOneVersusFourSameContent) {
     runtime::ParallelMap(pool, 6, [&](std::size_t) {
       sched::Schedule s =
           sched::RunDls(ex.graph, analysis, ex.platform, probs);
-      dvfs::ApplyPolicy("online", s, probs);
+      dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs);
       return 0;
     });
     return ContentKeys(session.Events());
