@@ -166,8 +166,8 @@ void BM_RescheduleEngine(benchmark::State& state) {
         sched::RunDls(test.rc.graph, analysis, test.rc.platform, probs,
                       {}, &engine.dls_workspace());
     const auto stats =
-        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, {}, 0.0,
-                      nullptr, {}, &engine);
+        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, 0.0, nullptr,
+                      {}, &engine);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }
@@ -188,8 +188,8 @@ void BM_RescheduleDnf(benchmark::State& state) {
     dvfs::PathEngine engine(test.rc.graph, analysis, test.rc.platform,
                             dvfs::PathEngineOptions{.force_dnf = true});
     const auto stats =
-        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, {}, 0.0,
-                      nullptr, {}, &engine);
+        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, 0.0, nullptr,
+                      {}, &engine);
     benchmark::DoNotOptimize(stats.total_extension_ms);
   }
 }

@@ -36,7 +36,6 @@ AdaptiveOptions Validated(AdaptiveOptions options) {
 ReschedulerConfig MakeReschedulerConfig(const AdaptiveOptions& options) {
   ReschedulerConfig config;
   config.dls = options.dls;
-  config.stretch = options.stretch;
   config.policy = *dvfs::ParseStretchPolicy(options.policy);  // validated
   config.cache = options.cache;
   config.reschedule = options.reschedule;
@@ -46,26 +45,6 @@ ReschedulerConfig MakeReschedulerConfig(const AdaptiveOptions& options) {
 }
 
 }  // namespace
-
-util::Error DegradeOptions::Validate() const {
-  if (!enabled) return {};
-  if (miss_burst == 0) {
-    return util::Error::Invalid("DegradeOptions: miss_burst must be > 0");
-  }
-  if (burst_window == 0) {
-    return util::Error::Invalid(
-        "DegradeOptions: burst_window must be > 0");
-  }
-  if (panic_instances == 0) {
-    return util::Error::Invalid(
-        "DegradeOptions: panic_instances must be > 0");
-  }
-  if (backoff_initial == 0) {
-    return util::Error::Invalid(
-        "DegradeOptions: backoff_initial must be > 0");
-  }
-  return {};
-}
 
 util::Error AdaptiveOptions::Validate() const {
   if (window_length == 0) {
@@ -81,10 +60,7 @@ util::Error AdaptiveOptions::Validate() const {
         "AdaptiveOptions: unknown stretch policy '" + policy + "'");
   }
   if (util::Error err = dls.Validate()) return err;
-  if (util::Error err = stretch.Validate()) return err;
-  if (util::Error err = degrade.Validate()) return err;
-  if (util::Error err = reschedule.Validate()) return err;
-  return {};
+  return reschedule.Validate();
 }
 
 AdaptiveController::AdaptiveController(
@@ -255,7 +231,6 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
                                    const faults::InstanceFaults* faults,
                                    obs::TraceSession* trace) {
   runtime::Metrics& metrics = MetricsTarget();
-  const DegradeOptions& opts = options_.degrade;
 
   // Failed-PE sightings accumulate over the degraded episode so an
   // out-of-band reschedule avoids every PE seen failing, not only the
@@ -275,7 +250,7 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
   if (result.deadline_met) {
     if (level_ == DegradeLevel::kNormal) return false;
     ++clean_streak_;
-    if (clean_streak_ < opts.panic_instances) return false;
+    if (clean_streak_ < kDegradePanicInstances) return false;
     // Recover: restore the stretched schedule for the in-use
     // distribution (a cache hit when that operating point was seen
     // before) and reset the episode state.
@@ -298,8 +273,8 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
   clean_streak_ = 0;
   recent_misses_.push_back(instances_processed_);
   const std::uint64_t window_start =
-      instances_processed_ >= opts.burst_window - 1
-          ? instances_processed_ - (opts.burst_window - 1)
+      instances_processed_ >= kDegradeBurstWindow - 1
+          ? instances_processed_ - (kDegradeBurstWindow - 1)
           : 0;
   while (!recent_misses_.empty() &&
          recent_misses_.front() < window_start) {
@@ -331,14 +306,14 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
   // Already degraded: a miss burst escalates to an out-of-band
   // reschedule, bounded by the retry budget with exponential backoff
   // between retries.
-  if (recent_misses_.size() < opts.miss_burst) return false;
-  if (retries_used_ >= opts.max_reschedule_retries) return false;
+  if (recent_misses_.size() < kDegradeMissBurst) return false;
+  if (retries_used_ >= kDegradeMaxRescheduleRetries) return false;
   if (instances_processed_ < next_retry_instance_) return false;
 
   ++retries_used_;
   const std::size_t shift = std::min<std::size_t>(retries_used_ - 1, 20);
   next_retry_instance_ =
-      instances_processed_ + (opts.backoff_initial << shift);
+      instances_processed_ + (kDegradeBackoffInitial << shift);
   // Refresh the in-use distribution from the window first: the burst
   // may stem from drifted branch profiles, not only injected overruns.
   for (TaskId fork : graph_->ForkIds()) {

@@ -23,7 +23,6 @@
 #include "ctg/activation.h"
 #include "ctg/condition.h"
 #include "faults/injector.h"
-#include "dvfs/stretch.h"
 #include "obs/trace.h"
 #include "profiling/window.h"
 #include "runtime/schedule_cache.h"
@@ -46,28 +45,25 @@ namespace actg::adaptive {
 ///                               voltage; bounded retries, exponential
 ///                               backoff between them)
 ///   any --clean streak--> normal (restore the stretched schedule)
+/// Its thresholds are the constants below.
 struct DegradeOptions {
-  /// Master switch; when false every other knob is ignored.
+  /// Master switch; when false the controller never leaves kNormal.
   bool enabled = false;
-  /// Number of deadline misses within burst_window instances that
-  /// escalates panic to an out-of-band reschedule.
-  std::size_t miss_burst = 2;
-  /// Length of the sliding miss-burst window, instances.
-  std::size_t burst_window = 8;
-  /// Consecutive clean (deadline-met) instances required to de-escalate
-  /// back to normal operation.
-  std::size_t panic_instances = 16;
-  /// Maximum out-of-band reschedules per degraded episode; 0 keeps the
-  /// ladder at the panic rung.
-  std::size_t max_reschedule_retries = 3;
-  /// Instances to wait before the first out-of-band retry may repeat;
-  /// doubles after every retry (exponential backoff).
-  std::size_t backoff_initial = 8;
-
-  /// Ok when the knobs are usable: with enabled set, miss_burst,
-  /// burst_window, panic_instances and backoff_initial must be > 0.
-  util::Error Validate() const;
 };
+
+/// Deadline misses within kDegradeBurstWindow instances that escalate
+/// panic to an out-of-band reschedule.
+inline constexpr std::size_t kDegradeMissBurst = 2;
+/// Length of the sliding miss-burst window, instances.
+inline constexpr std::size_t kDegradeBurstWindow = 8;
+/// Consecutive clean (deadline-met) instances required to de-escalate
+/// back to normal operation.
+inline constexpr std::size_t kDegradePanicInstances = 16;
+/// Maximum out-of-band reschedules per degraded episode.
+inline constexpr std::size_t kDegradeMaxRescheduleRetries = 3;
+/// Instances to wait before the first out-of-band retry may repeat;
+/// doubles after every retry (exponential backoff).
+inline constexpr std::size_t kDegradeBackoffInitial = 8;
 
 /// Rung of the degradation ladder a controller currently operates on.
 enum class DegradeLevel { kNormal = 0, kPanic = 1, kFallback = 2 };
@@ -98,8 +94,6 @@ struct AdaptiveOptions {
   double threshold = 0.1;
   /// Scheduler configuration (the modified DLS by default).
   sched::DlsOptions dls;
-  /// Stretcher configuration.
-  dvfs::StretchOptions stretch;
   /// Stretch policy applied after every (re)scheduling pass, by name
   /// (see dvfs::ParseStretchPolicy; paper: the online heuristic).
   std::string policy = "online";
@@ -146,8 +140,8 @@ struct AdaptiveOptions {
 
   /// Ok when every knob is usable: window_length must be positive,
   /// threshold must lie in (0, 1], the policy must name a
-  /// dvfs::StretchPolicy, and the nested dls/stretch/degrade options
-  /// must validate. The controller rejects invalid options up front
+  /// dvfs::StretchPolicy, and the nested dls/reschedule options must
+  /// validate. The controller rejects invalid options up front
   /// (constructor throws) instead of failing mid-run.
   util::Error Validate() const;
 };

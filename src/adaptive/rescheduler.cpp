@@ -36,7 +36,10 @@ std::uint64_t FingerprintConfig(const ReschedulerConfig& config) {
   if (!config.dls.available_pes.IsAll()) {
     fp = runtime::HashCombine(fp, config.dls.available_pes.removed_bits());
   }
-  fp = runtime::HashCombine(fp, config.stretch.max_paths);
+  // Every engine runs under the default path-count bound; its value
+  // stays in the hash so cache keys and timeline unit ids keep their
+  // values.
+  fp = runtime::HashCombine(fp, dvfs::PathEngineOptions{}.max_paths);
   // The policy's name, not its enum value: cache keys and timeline unit
   // ids must not move when the enum is reordered.
   const std::string_view policy = dvfs::StretchPolicyName(config.policy);
@@ -113,7 +116,6 @@ util::Error ReschedulerConfig::Validate() const {
         std::to_string(static_cast<int>(policy)));
   }
   if (util::Error err = dls.Validate()) return err;
-  if (util::Error err = stretch.Validate()) return err;
   if (util::Error err = reschedule.Validate()) return err;
   // The table's schedules are served as this config's results, so they
   // must come from the same stretcher.
@@ -140,8 +142,7 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       graph_fingerprint_(runtime::FingerprintCtg(graph)),
       platform_fingerprint_(runtime::FingerprintPlatform(platform)),
       config_fingerprint_(0),
-      engine_(graph, analysis, platform,
-              dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths}) {
+      engine_(graph, analysis, platform) {
   config_.Validate().ThrowIfError();
   config_fingerprint_ = FingerprintConfig(config_);
 }
@@ -200,8 +201,8 @@ void Rescheduler::ApplyStretch(sched::Schedule& schedule,
                                double speed_floor,
                                dvfs::StretchStats& stats,
                                const dvfs::StretchWarmStart* warm) {
-  stats = dvfs::Stretch(config_.policy, schedule, probs, config_.stretch,
-                        speed_floor, warm, {}, &engine_);
+  stats = dvfs::Stretch(config_.policy, schedule, probs, speed_floor, warm,
+                        {}, &engine_);
   // The engine now holds an enumeration for this schedule's shape
   // (either freshly enumerated or rewound-and-recommitted); record the
   // pair that lets the next warm stretch rewind instead of re-running
@@ -339,17 +340,16 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   // records engine_shape_/engine_enum_id_ against engine_); the
   // stretcher is run directly instead.
   if (verify_engine_ == nullptr) {
-    verify_engine_ = std::make_unique<dvfs::PathEngine>(
-        *graph_, *analysis_, *platform_,
-        dvfs::PathEngineOptions{.max_paths = config_.stretch.max_paths});
+    verify_engine_ = std::make_unique<dvfs::PathEngine>(*graph_, *analysis_,
+                                                        *platform_);
   }
   sched::DlsOptions dls = config_.dls;
   dls.available_pes = req.mask;
   sched::Schedule reference =
       sched::RunDls(*graph_, *analysis_, *platform_, probs, dls,
                     &verify_engine_->dls_workspace());
-  dvfs::Stretch(config_.policy, reference, probs, config_.stretch,
-                req.speed_floor, nullptr, {}, verify_engine_.get());
+  dvfs::Stretch(config_.policy, reference, probs, req.speed_floor, nullptr,
+                {}, verify_engine_.get());
   // Both must satisfy every structural invariant regardless of
   // validate_schedules — this is the debug oracle.
   check::Expectations expect;

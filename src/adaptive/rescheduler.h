@@ -164,7 +164,6 @@ struct ReschedulerConfig {
   /// Scheduler configuration (the configured availability mask in
   /// dls.available_pes defines which requests count as degraded).
   sched::DlsOptions dls;
-  dvfs::StretchOptions stretch;
   /// Stretch policy of every computed schedule; a table in
   /// reschedule.table must have been built with the same one.
   dvfs::StretchPolicy policy = dvfs::StretchPolicy::kOnline;

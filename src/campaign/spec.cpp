@@ -83,12 +83,22 @@ util::Error CampaignSpec::Validate() const {
   if (instances == 0) {
     return util::Error::Invalid("CampaignSpec: instances must be > 0");
   }
+  if (instances > kMaxInstances) {
+    return util::Error::Invalid("CampaignSpec: instances must be <= 2^40");
+  }
   if (shards == 0) {
     return util::Error::Invalid("CampaignSpec: shards must be > 0");
+  }
+  if (shards > kMaxShards) {
+    return util::Error::Invalid("CampaignSpec: shards must be <= 2^16");
   }
   if (trace_instances == 0) {
     return util::Error::Invalid(
         "CampaignSpec: trace_instances must be > 0");
+  }
+  if (trace_instances > kMaxTraceInstances) {
+    return util::Error::Invalid(
+        "CampaignSpec: trace_instances must be <= 2^20");
   }
   if (model_seeds == 0) {
     return util::Error::Invalid("CampaignSpec: model_seeds must be > 0");
@@ -99,6 +109,9 @@ util::Error CampaignSpec::Validate() const {
   }
   if (bins == 0) {
     return util::Error::Invalid("CampaignSpec: bins must be > 0");
+  }
+  if (bins > kMaxBins) {
+    return util::Error::Invalid("CampaignSpec: bins must be <= 2^16");
   }
   if (!(energy_max_mj > 0.0) || !(makespan_max_ms > 0.0)) {
     return util::Error::Invalid(

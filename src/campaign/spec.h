@@ -64,6 +64,15 @@ struct StormSpec {
 /// drift mixed").
 const std::vector<std::string>& StormPresets();
 
+/// Ceilings CampaignSpec::Validate() enforces. They keep the runner's
+/// arithmetic and memory bounded: Campaign::ShardRange computes
+/// (shard + 1) * instances, which stays below 2^57 at the ceilings, and
+/// every shard zero-fills bins-sized histograms up front.
+inline constexpr std::size_t kMaxInstances = std::size_t{1} << 40;
+inline constexpr std::size_t kMaxShards = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxBins = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxTraceInstances = std::size_t{1} << 20;
+
 /// A parsed campaign-v1 file.
 struct CampaignSpec {
   /// Root of every per-instance Random::Fork substream.
@@ -146,8 +155,9 @@ struct CampaignSpec {
 
   /// Ok when the campaign is runnable: instances, shards, bins,
   /// trace_instances, model_seeds, cache_capacity and window positive,
-  /// oracle_rate in [0, 1], threshold in (0, 1], histogram edges
-  /// positive, every axis non-empty, every policy a name
+  /// instances, shards, bins and trace_instances at most their kMax*
+  /// ceilings, oracle_rate in [0, 1], threshold in (0, 1], histogram
+  /// edges positive, every axis non-empty, every policy a name
   /// dvfs::ParseStretchPolicy knows, storm names unique and every storm
   /// valid.
   util::Error Validate() const;

@@ -10,11 +10,8 @@ sched::Schedule RunWithPolicy(StretchPolicy policy,
                               const PolicyRunOptions& options) {
   sched::Schedule schedule =
       sched::RunDls(graph, analysis, platform, probs, options.dls);
-  PathEngine engine(
-      graph, analysis, platform,
-      PathEngineOptions{.max_paths = options.stretch.max_paths});
-  Stretch(policy, schedule, probs, options.stretch, 0.0, nullptr,
-          options.nlp, &engine);
+  PathEngine engine(graph, analysis, platform);
+  Stretch(policy, schedule, probs, 0.0, nullptr, options.nlp, &engine);
   return schedule;
 }
 
@@ -37,7 +34,6 @@ sched::Schedule RunReference2(const ctg::Ctg& graph,
                               const ctg::BranchProbabilities& probs,
                               const NlpOptions& options) {
   PolicyRunOptions run_options;
-  run_options.stretch = options.stretch;
   run_options.nlp = options;
   return RunWithPolicy(StretchPolicy::kNlp, graph, analysis, platform,
                        probs, run_options);

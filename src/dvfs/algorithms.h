@@ -26,13 +26,11 @@
 
 namespace actg::dvfs {
 
-/// Knobs of RunWithPolicy: the scheduler configuration plus the options
-/// forwarded to the selected stretcher.
+/// Knobs of RunWithPolicy: the scheduler configuration plus the solver
+/// options of StretchPolicy::kNlp.
 struct PolicyRunOptions {
   sched::DlsOptions dls;
-  StretchOptions stretch;
-  /// Consumed by StretchPolicy::kNlp only (its path-analysis knobs are
-  /// overridden by \p stretch).
+  /// Consumed by StretchPolicy::kNlp only.
   NlpOptions nlp;
 };
 

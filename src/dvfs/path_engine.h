@@ -52,6 +52,8 @@ namespace actg::dvfs {
 struct PathEngineOptions {
   /// Guard against pathological path explosion (same contract as
   /// PathSet: enumeration throws actg::InvalidArgument past the limit).
+  /// The only place the stretchers' path-count bound lives: every
+  /// engine they run on, pooled or transient, is built with it.
   std::size_t max_paths = 1 << 20;
   /// Forces the DNF guard representation even when the graph fits the
   /// bitset width. Exists so bench_micro can measure bitset vs DNF in

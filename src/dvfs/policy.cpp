@@ -12,19 +12,15 @@ namespace {
 
 StretchStats Dispatch(StretchPolicy policy, sched::Schedule& schedule,
                       const ctg::BranchProbabilities& probs,
-                      const StretchOptions& options,
                       const StretchWarmStart* warm, const NlpOptions& nlp,
                       PathEngine* engine) {
   switch (policy) {
     case StretchPolicy::kOnline:
-      return StretchOnline(schedule, probs, options, engine, warm);
+      return StretchOnline(schedule, probs, engine, warm);
     case StretchPolicy::kProportional:
-      return StretchProportional(schedule, options, engine, warm);
-    case StretchPolicy::kNlp: {
-      NlpOptions nlp_options = nlp;
-      nlp_options.stretch = options;
-      return StretchNlp(schedule, probs, nlp_options, engine);
-    }
+      return StretchProportional(schedule, engine, warm);
+    case StretchPolicy::kNlp:
+      return StretchNlp(schedule, probs, nlp, engine);
   }
   throw InvalidArgument("unknown stretch policy " +
                         std::to_string(static_cast<int>(policy)));
@@ -53,7 +49,7 @@ std::optional<StretchPolicy> ParseStretchPolicy(std::string_view name) {
 
 StretchStats Stretch(StretchPolicy policy, sched::Schedule& schedule,
                      const ctg::BranchProbabilities& probs,
-                     const StretchOptions& options, double speed_floor,
+                     double speed_floor,
                      const StretchWarmStart* warm, const NlpOptions& nlp,
                      PathEngine* engine) {
   obs::ScopedSpan span(obs::TraceSession::Current(), "dvfs.stretch",
@@ -62,7 +58,7 @@ StretchStats Stretch(StretchPolicy policy, sched::Schedule& schedule,
     span.AddArg(obs::StrArg("policy", StretchPolicyName(policy)));
   }
   const StretchStats stats =
-      Dispatch(policy, schedule, probs, options, warm, nlp, engine);
+      Dispatch(policy, schedule, probs, warm, nlp, engine);
   if (speed_floor > 0.0) {
     // Raise every ratio to the floor. Faster-only, so the deadline
     // guarantee of the stretcher is preserved by construction.

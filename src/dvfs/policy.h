@@ -42,12 +42,10 @@ std::optional<StretchPolicy> ParseStretchPolicy(std::string_view name);
 
 /// Stretches \p schedule in place with \p policy, recording the
 /// "dvfs.stretch" trace span around the stretcher. \p probs is ignored
-/// by kProportional. \p options' path-analysis knobs apply to every
-/// policy (they override \p nlp.stretch); the rest of \p nlp applies to
-/// kNlp only. \p warm is an optional warm-start seed (see
-/// StretchWarmStart), honored by kOnline and kProportional; kNlp
-/// ignores it, which is always correct — it only trades speed for
-/// recomputation.
+/// by kProportional; \p nlp applies to kNlp only. \p warm is an
+/// optional warm-start seed (see StretchWarmStart), honored by kOnline
+/// and kProportional; kNlp ignores it, which is always correct — it
+/// only trades speed for recomputation.
 ///
 /// \p speed_floor > 0 clamps *after* the stretcher: every task's speed
 /// ratio is raised to at least this value (then quantized by the PE)
@@ -60,7 +58,6 @@ std::optional<StretchPolicy> ParseStretchPolicy(std::string_view name);
 /// results are identical either way (the engine only pools storage).
 StretchStats Stretch(StretchPolicy policy, sched::Schedule& schedule,
                      const ctg::BranchProbabilities& probs,
-                     const StretchOptions& options = {},
                      double speed_floor = 0.0,
                      const StretchWarmStart* warm = nullptr,
                      const NlpOptions& nlp = {},

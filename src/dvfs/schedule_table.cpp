@@ -74,9 +74,7 @@ util::Error ScheduleTableOptions::Validate() const {
         "ScheduleTableOptions: unknown stretch policy " +
         std::to_string(static_cast<int>(policy)));
   }
-  if (util::Error err = dls.Validate()) return err;
-  if (util::Error err = stretch.Validate()) return err;
-  return {};
+  return dls.Validate();
 }
 
 ScheduleTable::ScheduleTable(const ctg::Ctg& graph,
@@ -123,8 +121,7 @@ ScheduleTable::ScheduleTable(const ctg::Ctg& graph,
 
   // Cartesian product, one DLS + stretch per point. A shared engine
   // pools the path-enumeration and DLS scratch across points.
-  PathEngine engine(graph, analysis, platform,
-                    PathEngineOptions{.max_paths = options_.stretch.max_paths});
+  PathEngine engine(graph, analysis, platform);
   std::vector<std::size_t> cursor(forks.size(), 0);
   entries_.reserve(total);
   while (true) {
@@ -139,8 +136,7 @@ ScheduleTable::ScheduleTable(const ctg::Ctg& graph,
         sched::RunDls(graph, analysis, platform, probs, options_.dls,
                       &engine.dls_workspace());
     const StretchStats stats =
-        Stretch(options_.policy, schedule, probs, options_.stretch, 0.0,
-                nullptr, {}, &engine);
+        Stretch(options_.policy, schedule, probs, 0.0, nullptr, {}, &engine);
     entries_.push_back(ScheduleTableEntry{std::move(probs),
                                           std::move(flat),
                                           std::move(schedule), stats});

@@ -58,8 +58,6 @@ struct ScheduleTableOptions {
   std::size_t max_entries = 4096;
   /// Scheduler configuration used for every lattice point.
   sched::DlsOptions dls;
-  /// Stretcher configuration used for every lattice point.
-  StretchOptions stretch;
   /// Stretch policy run at every lattice point.
   StretchPolicy policy = StretchPolicy::kOnline;
 

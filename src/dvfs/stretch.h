@@ -24,7 +24,8 @@
 /// optional trailing parameter lets a caller that reschedules
 /// repeatedly (the adaptive controller) pass its own engine so the
 /// enumeration buffers are reused across calls; when omitted, a
-/// transient engine is built for the call — results are identical
+/// transient engine with default PathEngineOptions (so the default
+/// max_paths bound) is built for the call — results are identical
 /// either way.
 
 #ifndef ACTG_DVFS_STRETCH_H
@@ -79,15 +80,6 @@ struct StretchStats {
   double max_path_delay_ms = 0.0;
 };
 
-/// Common knobs.
-struct StretchOptions {
-  /// Guard against pathological path explosion.
-  std::size_t max_paths = 1 << 20;
-
-  /// Ok when the options are usable: max_paths must be positive.
-  util::Error Validate() const;
-};
-
 /// The paper's online task stretching heuristic (Fig. 2). Requires a
 /// positive deadline on the schedule's graph. \p probs must cover every
 /// fork. Updates speed ratios in place and recomputes the schedule
@@ -95,30 +87,23 @@ struct StretchOptions {
 /// (see StretchWarmStart).
 StretchStats StretchOnline(sched::Schedule& schedule,
                            const ctg::BranchProbabilities& probs,
-                           const StretchOptions& options = {},
                            PathEngine* engine = nullptr,
                            const StretchWarmStart* warm = nullptr);
 
 /// Probability-blind slack distribution (Reference Algorithm 1 stage 2).
 StretchStats StretchProportional(sched::Schedule& schedule,
-                                 const StretchOptions& options = {},
                                  PathEngine* engine = nullptr,
                                  const StretchWarmStart* warm = nullptr);
 
-/// Configuration of the convex-solver stretcher.
+/// Configuration of the convex-solver stretcher. The solver's initial
+/// relative step size (kNlpInitialStep, 0.05) and its feasibility
+/// sweeps per projection (kNlpProjectionSweeps, 64) are constants of
+/// stretch.cpp.
 struct NlpOptions {
-  /// Path-analysis knobs shared with the other stretchers.
-  StretchOptions stretch;
   /// Projected-gradient iterations.
   int iterations = 4000;
-  /// Initial relative step size.
-  double initial_step = 0.05;
-  /// Feasibility sweeps per projection.
-  int projection_sweeps = 64;
 
-  /// Ok when the options are usable: stretch must validate, iteration
-  /// and sweep counts must be positive, the initial step must lie in
-  /// (0, 1].
+  /// Ok when the options are usable: iterations must be positive.
   util::Error Validate() const;
 };
 

@@ -7,24 +7,6 @@
 
 namespace actg::runtime {
 
-util::Error CacheKeyOptions::Validate() const {
-  if (quantization == 0) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: quantization must be > 0");
-  }
-  if (near_quantization == 0) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: near_quantization must be > 0");
-  }
-  if (near_quantization > quantization) {
-    return util::Error::Invalid(
-        "CacheKeyOptions: near_quantization must not exceed quantization "
-        "(the tier-2 buckets must be at least as coarse as the exact-tier "
-        "hash)");
-  }
-  return {};
-}
-
 ScheduleCacheKey MakeCacheKey(const ctg::Ctg& graph,
                               const ctg::BranchProbabilities& probs,
                               std::uint64_t graph_fingerprint,
@@ -59,7 +41,7 @@ std::size_t ScheduleCache::KeyHash::operator()(
     // operator== on the stored key, so collisions only cost a probe.
     hash = HashCombine(
         hash, static_cast<std::uint64_t>(std::llround(
-                  p * static_cast<double>(quantization))));
+                  p * static_cast<double>(kExactQuantization))));
   }
   return static_cast<std::size_t>(hash);
 }
@@ -90,7 +72,7 @@ ScheduleCache::NearKey ScheduleCache::NearBucket(
   near.buckets.reserve(key.probs.size());
   for (double p : key.probs) {
     near.buckets.push_back(std::llround(
-        p * static_cast<double>(options_.keys.near_quantization)));
+        p * static_cast<double>(kNearQuantization)));
   }
   return near;
 }
@@ -105,9 +87,7 @@ void ScheduleCache::ForgetNear(std::list<Slot>::iterator it) {
 ScheduleCache::ScheduleCache(ScheduleCacheOptions options, Metrics* metrics)
     : options_(options),
       metrics_(metrics),
-      index_(/*bucket_count=*/16, KeyHash(options.keys.quantization)) {
-  options.keys.Validate().ThrowIfError();
-}
+      index_(/*bucket_count=*/16) {}
 
 std::optional<ScheduleCacheEntry> ScheduleCache::Lookup(
     const ScheduleCacheKey& key) {
@@ -209,15 +189,10 @@ ShardedScheduleCache::ShardedScheduleCache(
     ShardedScheduleCacheOptions options, Metrics* metrics) {
   ACTG_CHECK(options.shards > 0,
              "ShardedScheduleCache: shards must be > 0");
-  options.keys.Validate().ThrowIfError();
   shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
-    // Every shard receives the one validated CacheKeyOptions verbatim:
-    // resolutions cannot drift between shards of one cache.
     shards_.push_back(std::make_unique<ScheduleCache>(
-        ScheduleCacheOptions{.capacity = options.shard_capacity,
-                             .keys = options.keys},
-        metrics));
+        ScheduleCacheOptions{.capacity = options.shard_capacity}, metrics));
   }
 }
 

@@ -22,7 +22,7 @@
 ///   ratios of small integer counts over a fixed window length, so
 ///   recurring operating points reproduce identical doubles and do hit.
 /// * Tier 2 — LookupNear(): quantized near-hit. A coarser quantization
-///   (CacheKeyOptions::near_quantization) buckets nearby operating
+///   (kNearQuantization) buckets nearby operating
 ///   points together; the most recently inserted entry of the query's
 ///   bucket is returned as a *warm-start seed* together with the
 ///   probability vector it was computed for. A near-hit is never a
@@ -57,7 +57,6 @@
 #include "dvfs/stretch.h"
 #include "runtime/metrics.h"
 #include "sched/schedule.h"
-#include "util/error.h"
 
 namespace actg::runtime {
 
@@ -115,34 +114,20 @@ struct ScheduleCacheNearHit {
   std::vector<double> probs;
 };
 
-/// Quantization of the probability vector, shared by every construction
-/// path (plain and sharded caches route through this one struct, so the
-/// exact-tier hash resolution and the tier-2 bucket resolution can
-/// never drift between a cache and its shards).
-struct CacheKeyOptions {
-  /// Exact-tier hash resolution: probabilities are bucketed as
-  /// round(p * quantization) when hashing. Smaller values group
-  /// near-identical operating points into one hash bucket; the
-  /// exact-match check keeps tier-1 results unchanged either way.
-  std::uint64_t quantization = 1u << 16;
-  /// Tier-2 bucket resolution: two probability vectors are near-equal
-  /// when they agree after rounding to round(p * near_quantization).
-  /// 1/near_quantization is therefore (up to rounding) the per-outcome
-  /// tolerance of a warm-start seed. Must not exceed quantization — a
-  /// coarser exact tier than the near tier would be nonsense.
-  std::uint64_t near_quantization = 1u << 4;
-
-  /// Ok when both resolutions are positive and the near tier is not
-  /// finer than the exact tier.
-  util::Error Validate() const;
-};
+/// Exact-tier hash resolution: probabilities are bucketed as
+/// round(p * kExactQuantization) when hashing. The exact-match check on
+/// the stored key keeps tier-1 results independent of it.
+inline constexpr std::uint64_t kExactQuantization = 1u << 16;
+/// Tier-2 bucket resolution: two probability vectors are near-equal when
+/// they agree after rounding to round(p * kNearQuantization), so
+/// 1/kNearQuantization is (up to rounding) the per-outcome tolerance of
+/// a warm-start seed. Coarser than kExactQuantization.
+inline constexpr std::uint64_t kNearQuantization = 1u << 4;
 
 /// Configuration of the cache.
 struct ScheduleCacheOptions {
   /// Maximum number of entries; the least recently used is evicted.
   std::size_t capacity = 128;
-  /// Probability quantization (exact-tier hashing + tier-2 buckets).
-  CacheKeyOptions keys;
 };
 
 /// Pairs the cache a controller should consult with the tenant id its
@@ -172,7 +157,7 @@ class ScheduleCache {
  public:
   /// \p metrics, when set, mirrors the hit/miss/eviction counters into
   /// a Metrics registry under "schedule_cache.{hits,misses,evictions,
-  /// near_hits,near_misses}". Throws when options.keys is invalid.
+  /// near_hits,near_misses}".
   explicit ScheduleCache(ScheduleCacheOptions options = {},
                          Metrics* metrics = nullptr);
 
@@ -182,7 +167,7 @@ class ScheduleCache {
 
   /// Tier 2: returns the most recently inserted entry whose key matches
   /// \p key on every identity field and whose probability vector lands
-  /// in the same near_quantization bucket, together with that entry's
+  /// in the same kNearQuantization bucket, together with that entry's
   /// probability vector; nullopt (and a near-miss) when the bucket is
   /// empty. The returned entry is a warm-start seed, not a final
   /// answer. Does not disturb the LRU order (seeding is speculative —
@@ -217,10 +202,7 @@ class ScheduleCache {
     ScheduleCacheEntry entry;
   };
   struct KeyHash {
-    explicit KeyHash(std::uint64_t quantization = 1)
-        : quantization(quantization) {}
     std::size_t operator()(const ScheduleCacheKey& key) const;
-    std::uint64_t quantization;
   };
   /// Identity fields exactly, probabilities coarsely quantized.
   struct NearKey {
@@ -265,10 +247,6 @@ struct ShardedScheduleCacheOptions {
   std::size_t shards = 8;
   /// Per-shard LRU capacity (see ScheduleCacheOptions).
   std::size_t shard_capacity = 64;
-  /// Probability quantization, handed to every shard as-is — one struct
-  /// for the whole cache, so shards cannot be constructed with
-  /// drifting resolutions.
-  CacheKeyOptions keys;
 };
 
 /// Point-in-time counters of one shard.

@@ -324,6 +324,25 @@ TEST(CampaignShardRange, PartitionsAreContiguousAndBalanced) {
   }
 }
 
+TEST(CampaignShardRange, TilesThePopulationAtTheSpecCeilings) {
+  // (shard + 1) * instances must not wrap anywhere Validate() admits:
+  // at kMaxInstances over kMaxShards the ranges still tile
+  // [0, instances) exactly.
+  for (std::size_t instances : {kMaxInstances - 1, kMaxInstances}) {
+    for (std::size_t shards : {std::size_t{1}, std::size_t{3}, kMaxShards}) {
+      std::size_t previous_end = 0;
+      for (std::size_t s = 0; s < shards; ++s) {
+        const auto [begin, end] =
+            Campaign::ShardRange(instances, shards, s);
+        ASSERT_EQ(begin, previous_end) << instances << " over " << shards;
+        ASSERT_LE(end - begin, instances / shards + 1);
+        previous_end = end;
+      }
+      EXPECT_EQ(previous_end, instances) << instances << " over " << shards;
+    }
+  }
+}
+
 TEST(CampaignRunner, PopulationReportIsShardSplitInvariant) {
   std::vector<std::string> reports;
   for (std::size_t shards : {1u, 3u, 8u}) {

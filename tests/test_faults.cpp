@@ -279,24 +279,6 @@ TEST_F(InjectorFixture, ExecutorReportsOverrunsAndFailedPeHits) {
             0);
 }
 
-TEST(DegradeOptionsValidate, RejectsBadKnobsOnlyWhenEnabled) {
-  adaptive::DegradeOptions degrade;
-  degrade.miss_burst = 0;  // ignored while disabled
-  EXPECT_FALSE(degrade.Validate());
-  degrade.enabled = true;
-  EXPECT_TRUE(degrade.Validate());
-  degrade.miss_burst = 2;
-  EXPECT_FALSE(degrade.Validate());
-  degrade.burst_window = 0;
-  EXPECT_TRUE(degrade.Validate());
-  degrade.burst_window = 8;
-  degrade.panic_instances = 0;
-  EXPECT_TRUE(degrade.Validate());
-  degrade.panic_instances = 16;
-  degrade.backoff_initial = 0;
-  EXPECT_TRUE(degrade.Validate());
-}
-
 /// Everything one fault-injected adaptive run produced that the
 /// determinism contract covers: summary aggregates (energy compared by
 /// bits), the full escalation sequence, and the controller counters.

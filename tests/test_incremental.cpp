@@ -9,6 +9,7 @@
 
 #include "adaptive/rescheduler.h"
 #include "apps/common.h"
+#include "apps/fig1_example.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
 #include "ctg/activation.h"
@@ -254,7 +255,7 @@ TEST(WarmStretch, RewindReplaysSeedWithoutReenumerating) {
   dvfs::PathEngine engine(fc.graph, *fc.analysis, fc.platform);
 
   sched::Schedule first = nominal;
-  dvfs::StretchOnline(first, fc.base, {}, &engine);
+  dvfs::StretchOnline(first, fc.base, &engine);
   const std::uint64_t enumeration = engine.enumeration_id();
   ASSERT_NE(enumeration, 0u);
 
@@ -270,7 +271,7 @@ TEST(WarmStretch, RewindReplaysSeedWithoutReenumerating) {
   warm.reuse_enumeration = true;
 
   sched::Schedule second = nominal;
-  dvfs::StretchOnline(second, fc.base, {}, &engine, &warm);
+  dvfs::StretchOnline(second, fc.base, &engine, &warm);
   EXPECT_EQ(engine.enumeration_id(), enumeration);
   for (TaskId task : fc.graph.TaskIds()) {
     EXPECT_EQ(second.placement(task).speed_ratio,
@@ -282,7 +283,7 @@ TEST(WarmStretch, RewindReplaysSeedWithoutReenumerating) {
   // Without the vouching flag the same warm start re-enumerates.
   warm.reuse_enumeration = false;
   sched::Schedule third = nominal;
-  dvfs::StretchOnline(third, fc.base, {}, &engine, &warm);
+  dvfs::StretchOnline(third, fc.base, &engine, &warm);
   EXPECT_EQ(engine.enumeration_id(), enumeration + 1);
   EXPECT_TRUE(SamePlacements(fc.graph, third, first));
 }
@@ -401,6 +402,26 @@ TEST(Rescheduler, DegradedRequestBypassesCacheAndWarmTiers) {
   }
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(rescheduler.tier_counts().full, 3u);
+}
+
+TEST(Rescheduler, DefaultConfigFingerprintsArePinned) {
+  // The config fingerprint keys the schedule cache and seeds timeline
+  // unit ids, so folding a knob into a constant must not move it. The
+  // literals are the fingerprints of the default full-mode and
+  // incremental-mode configs; they depend on the config only, not on
+  // the graph.
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  const auto fingerprint = [&](adaptive::RescheduleMode mode) {
+    adaptive::ReschedulerConfig config;
+    config.reschedule.mode = mode;
+    return adaptive::Rescheduler(ex.graph, analysis, ex.platform, config)
+        .config_fingerprint();
+  };
+  EXPECT_EQ(fingerprint(adaptive::RescheduleMode::kFull),
+            0x88C0B0CFB7FECFEBULL);
+  EXPECT_EQ(fingerprint(adaptive::RescheduleMode::kIncremental),
+            0x5A6ABE6A328084ACULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 /// \file test_options.cpp
 /// Validate() contracts of the options structs (DlsOptions,
-/// StretchOptions, NlpOptions, AdaptiveOptions) and the adaptive
+/// NlpOptions, AdaptiveOptions) and the adaptive
 /// controller's up-front rejection of invalid options: construction
 /// must throw before any scheduling work happens.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,35 +33,13 @@ TEST(DlsOptionsValidate, DefaultsOkFixedMappingChecked) {
   EXPECT_FALSE(options.Validate());
 }
 
-TEST(StretchOptionsValidate, MaxPathsMustBePositive) {
-  dvfs::StretchOptions options;
-  EXPECT_FALSE(options.Validate());
-  options.max_paths = 0;
-  const util::Error err = options.Validate();
-  EXPECT_TRUE(err);
-  EXPECT_FALSE(err.message().empty());
-}
-
-TEST(NlpOptionsValidate, ChecksNestedAndOwnKnobs) {
+TEST(NlpOptionsValidate, IterationsMustBePositive) {
   dvfs::NlpOptions options;
   EXPECT_FALSE(options.Validate());
 
-  options.stretch.max_paths = 0;  // nested failure propagates
-  EXPECT_TRUE(options.Validate());
-  options.stretch.max_paths = 1 << 20;
-
   options.iterations = 0;
   EXPECT_TRUE(options.Validate());
-  options.iterations = 4000;
-
-  options.initial_step = 0.0;
-  EXPECT_TRUE(options.Validate());
-  options.initial_step = 1.5;
-  EXPECT_TRUE(options.Validate());
-  options.initial_step = 1.0;
-  EXPECT_FALSE(options.Validate());
-
-  options.projection_sweeps = -1;
+  options.iterations = -1;
   EXPECT_TRUE(options.Validate());
 }
 
@@ -79,8 +58,12 @@ TEST(AdaptiveOptionsValidate, ChecksWindowThresholdAndNested) {
   options.threshold = 1.0;  // closed upper bound is allowed
   EXPECT_FALSE(options.Validate());
 
-  options.stretch.max_paths = 0;  // nested stretch failure propagates
-  EXPECT_TRUE(options.Validate());
+  std::vector<PeId> empty;
+  options.dls.fixed_mapping = &empty;  // nested dls failure propagates
+  const util::Error err = options.Validate();
+  EXPECT_TRUE(err);
+  EXPECT_NE(err.message().find("fixed_mapping"), std::string::npos)
+      << err.message();
 }
 
 TEST(AdaptiveController, RejectsInvalidOptionsUpFront) {
@@ -108,13 +91,15 @@ TEST(AdaptiveController, RejectsInvalidOptionsUpFront) {
 
   // ThrowIfError surfaces the message of the failed validation.
   bad = {};
-  bad.stretch.max_paths = 0;
+  std::vector<PeId> empty;
+  bad.dls.fixed_mapping = &empty;
   try {
     adaptive::AdaptiveController controller(rc.graph, analysis,
                                             rc.platform, probs, bad);
     FAIL() << "construction should have thrown";
   } catch (const actg::InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("max_paths"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("fixed_mapping"),
+              std::string::npos);
   }
 }
 

@@ -7,17 +7,20 @@
 /// fresh or reused across enumerations and stretch calls.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/common.h"
+#include "apps/fig1_example.h"
 #include "ctg/activation.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/paths.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "tgff/random_ctg.h"
+#include "util/error.h"
 
 namespace actg {
 namespace {
@@ -173,7 +176,7 @@ TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
       sched::Schedule s =
           sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
       const dvfs::StretchStats stats =
-          dvfs::StretchOnline(s, c.probs, {}, engine);
+          dvfs::StretchOnline(s, c.probs, engine);
       EXPECT_GT(stats.path_count, 0u);
       return s;
     };
@@ -199,6 +202,35 @@ TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
       }
     }
   });
+}
+
+TEST(PathEngine, MaxPathsEnforced) {
+  // PathEngineOptions::max_paths is the one path-count bound every
+  // stretcher runs under; enumeration past it must throw, in both guard
+  // representations, and name the bound.
+  const apps::Fig1Example ex = apps::MakeFig1Example();
+  const ctg::ActivationAnalysis analysis(ex.graph);
+  const sched::Schedule s =
+      sched::RunDls(ex.graph, analysis, ex.platform, ex.probs);
+  for (bool force_dnf : {false, true}) {
+    SCOPED_TRACE(force_dnf ? "dnf" : "bitset");
+    dvfs::PathEngine bounded(
+        ex.graph, analysis, ex.platform,
+        dvfs::PathEngineOptions{.max_paths = 1, .force_dnf = force_dnf});
+    try {
+      bounded.Enumerate(s);
+      FAIL() << "enumeration past max_paths = 1 should have thrown";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_paths"), std::string::npos)
+          << e.what();
+    }
+
+    dvfs::PathEngine unbounded(
+        ex.graph, analysis, ex.platform,
+        dvfs::PathEngineOptions{.force_dnf = force_dnf});
+    unbounded.Enumerate(s);
+    EXPECT_GT(unbounded.size(), 1u);
+  }
 }
 
 }  // namespace

@@ -111,8 +111,7 @@ TEST_F(PolicyFixture, StretchWithExplicitEngineMatchesTransient) {
   PathEngine engine(ex_.graph, analysis_, ex_.platform);
   sched::Schedule pooled = Scheduled();
   sched::Schedule transient = Scheduled();
-  Stretch(StretchPolicy::kOnline, pooled, probs_, {}, 0.0, nullptr, {},
-          &engine);
+  Stretch(StretchPolicy::kOnline, pooled, probs_, 0.0, nullptr, {}, &engine);
   Stretch(StretchPolicy::kOnline, transient, probs_);
   ExpectSameStretch(pooled, transient);
 }

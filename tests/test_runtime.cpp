@@ -334,9 +334,9 @@ TEST_F(ScheduleCacheFixture, ConcurrentLookupsAndInsertsAreSafe) {
 }
 
 TEST_F(ScheduleCacheFixture, NearTierReturnsMostRecentSeedOfBucket) {
-  // Default near_quantization = 16: probabilities agreeing after
-  // round(p * 16) share a tier-2 bucket. 0.50, 0.505 and 0.51 all
-  // round to 8; 0.60 rounds to 10.
+  // kNearQuantization = 16: probabilities agreeing after round(p * 16)
+  // share a tier-2 bucket. 0.50, 0.505 and 0.51 all round to 8; 0.60
+  // rounds to 10.
   ScheduleCache cache;
   const ScheduleCacheKey k1 = MakeKey({0.50});
   const ScheduleCacheKey k2 = MakeKey({0.505});
@@ -393,26 +393,6 @@ TEST_F(ScheduleCacheFixture, NearTierNeverCrossesTenantOrFingerprint) {
   ScheduleCacheKey same = MakeKey({0.51});
   same.tenant = 1;
   EXPECT_TRUE(cache.LookupNear(same).has_value());
-}
-
-TEST(CacheKeyOptionsTest, ValidateRejectsInvertedOrZeroResolutions) {
-  CacheKeyOptions keys;
-  EXPECT_TRUE(keys.Validate().ok());
-
-  keys.near_quantization = keys.quantization * 2;  // near finer than exact
-  EXPECT_FALSE(keys.Validate().ok());
-
-  keys = CacheKeyOptions{};
-  keys.quantization = 0;
-  EXPECT_FALSE(keys.Validate().ok());
-  keys = CacheKeyOptions{};
-  keys.near_quantization = 0;
-  EXPECT_FALSE(keys.Validate().ok());
-
-  // Equal resolutions are the degenerate-but-legal corner.
-  keys = CacheKeyOptions{};
-  keys.near_quantization = keys.quantization;
-  EXPECT_TRUE(keys.Validate().ok());
 }
 
 TEST_F(ScheduleCacheFixture, ConcurrentNearTierTrafficIsSafe) {
