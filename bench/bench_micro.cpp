@@ -73,15 +73,40 @@ void BM_ModifiedDls(benchmark::State& state) {
 BENCHMARK(BM_ModifiedDls)->Arg(15)->Arg(25);
 
 void BM_PathEnumeration(benchmark::State& state) {
-  Workbench wb;
+  // Baseline for BM_EngineEnumeration on the same Table-1 case: a fresh
+  // PathSet per call, DNF guards whose conjunctions allocate at every
+  // DFS step.
+  const auto cases = bench::MakeTable1Cases();
+  const bench::TestCase& test =
+      cases[static_cast<std::size_t>(state.range(0))];
+  const ctg::ActivationAnalysis analysis(test.rc.graph);
+  const auto probs = apps::UniformProbabilities(test.rc.graph);
   const sched::Schedule s =
-      sched::RunDls(wb.rc.graph, wb.analysis, wb.rc.platform, wb.probs);
+      sched::RunDls(test.rc.graph, analysis, test.rc.platform, probs);
   for (auto _ : state) {
     const dvfs::PathSet paths(s);
     benchmark::DoNotOptimize(paths.size());
   }
 }
-BENCHMARK(BM_PathEnumeration);
+BENCHMARK(BM_PathEnumeration)->Arg(0)->Arg(4);
+
+void BM_EngineEnumeration(benchmark::State& state) {
+  // The same enumeration through a persistent PathEngine: compiled
+  // bitset guards and path/guard pools reused across calls.
+  const auto cases = bench::MakeTable1Cases();
+  const bench::TestCase& test =
+      cases[static_cast<std::size_t>(state.range(0))];
+  const ctg::ActivationAnalysis analysis(test.rc.graph);
+  const auto probs = apps::UniformProbabilities(test.rc.graph);
+  const sched::Schedule s =
+      sched::RunDls(test.rc.graph, analysis, test.rc.platform, probs);
+  dvfs::PathEngine engine(test.rc.graph, analysis, test.rc.platform);
+  for (auto _ : state) {
+    engine.Enumerate(s);
+    benchmark::DoNotOptimize(engine.size());
+  }
+}
+BENCHMARK(BM_EngineEnumeration)->Arg(0)->Arg(4);
 
 void BM_StretchOnline(benchmark::State& state) {
   // The paper's headline: ~0.6 ms per CTG for ordering + stretching.
@@ -173,28 +198,6 @@ void BM_RescheduleEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_RescheduleEngine)->Arg(0)->Arg(4);
 
-void BM_RescheduleDnf(benchmark::State& state) {
-  // Baseline for BM_RescheduleEngine: the pre-engine behavior — a
-  // fresh allocation-heavy DNF enumeration per reschedule
-  // (PathEngineOptions::force_dnf) and no reused DLS scratch.
-  const auto cases = bench::MakeTable1Cases();
-  const bench::TestCase& test =
-      cases[static_cast<std::size_t>(state.range(0))];
-  const ctg::ActivationAnalysis analysis(test.rc.graph);
-  const auto probs = apps::UniformProbabilities(test.rc.graph);
-  for (auto _ : state) {
-    sched::Schedule s =
-        sched::RunDls(test.rc.graph, analysis, test.rc.platform, probs);
-    dvfs::PathEngine engine(test.rc.graph, analysis, test.rc.platform,
-                            dvfs::PathEngineOptions{.force_dnf = true});
-    const auto stats =
-        dvfs::Stretch(dvfs::StretchPolicy::kOnline, s, probs, 0.0, nullptr,
-                      {}, &engine);
-    benchmark::DoNotOptimize(stats.total_extension_ms);
-  }
-}
-BENCHMARK(BM_RescheduleDnf)->Arg(0)->Arg(4);
-
 void BM_MpegFullPipeline(benchmark::State& state) {
   // The graph the paper says the NLP reference could not handle at all.
   const apps::MpegModel model = apps::MakeMpegModel();
@@ -246,9 +249,9 @@ BENCHMARK(BM_SlidingWindowObserve);
 
 // BENCHMARK_MAIN, plus an optional metrics dump: when ACTG_METRICS_CSV
 // names a file, the accumulated runtime counters of the whole run
-// (guard.dnf_fallbacks, cache hits, ...) are written there as CSV. CI
-// uploads it as the perf artifact. Per-stage wall clock is in the
-// --trace export's spans.
+// (sim.deadline_misses, adaptive.reschedule_calls, ...) are written
+// there as CSV. CI uploads it as the perf artifact. Per-stage wall
+// clock is in the --trace export's spans.
 int main(int argc, char** argv) {
   // --trace is ours, not google-benchmark's: strip it (and install the
   // session) before Initialize sees argv.

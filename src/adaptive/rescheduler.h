@@ -172,10 +172,7 @@ struct ReschedulerConfig {
   RescheduleOptions reschedule;
   /// Registry for the tier counters and latency distributions; nullptr
   /// means runtime::Metrics::Global(). The stages below the facade
-  /// (DLS, path enumeration, stretch) record obs spans, not metrics;
-  /// the one exception is the process-wide "guard.dnf_fallbacks"
-  /// counter (ctg::CountDnfFallback), bumped only for graphs whose
-  /// guards do not fit the bitset encoding.
+  /// (DLS, path enumeration, stretch) record obs spans, not metrics.
   runtime::Metrics* metrics = nullptr;
   /// Oracle-check every freshly computed schedule (see
   /// AdaptiveOptions::validate_schedules).

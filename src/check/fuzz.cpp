@@ -520,6 +520,9 @@ FuzzCase ParseReproImpl(util::TextReader& reader) {
       prob_seed = reader.Count(one());
     } else if (directive == "trace_instances") {
       trace_instances = reader.Count(one());
+      if (trace_instances > kMaxTraceInstances) {
+        reader.Fail("trace_instances must be <= 2^20");
+      }
     } else if (directive == "adaptive") {
       adaptive = reader.Flag(one());
     } else if (directive == "reschedule") {

@@ -40,6 +40,10 @@
 
 namespace actg::check {
 
+/// Ceiling ParseRepro enforces on trace_instances: RunCase materializes
+/// the whole trace up front (the same bound as campaign trace_instances).
+inline constexpr std::size_t kMaxTraceInstances = std::size_t{1} << 20;
+
 /// One concrete pipeline input. Value-semantic (graphs and platforms
 /// copy), so the shrinker can propose mutated candidates freely.
 struct FuzzCase {
@@ -119,8 +123,9 @@ FuzzCase Shrink(const FuzzCase& c,
 void WriteRepro(std::ostream& os, const FuzzCase& c);
 
 /// Parses a repro file in the shared grammar of util/text_reader.h
-/// (leading '#' provenance lines are comments); malformed input is
-/// reported as a util::Error with a "fuzzcase line N: ..." diagnostic.
+/// (leading '#' provenance lines are comments); malformed input, and a
+/// trace_instances above kMaxTraceInstances, is reported as a
+/// util::Error with a "fuzzcase line N: ..." diagnostic.
 util::Expected<FuzzCase> ParseRepro(std::istream& is);
 
 }  // namespace actg::check

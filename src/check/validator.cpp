@@ -317,7 +317,6 @@ void CheckExclusion(const sched::Schedule& schedule, Report& report) {
   const ctg::Ctg& graph = schedule.graph();
   const ctg::ActivationAnalysis& analysis = schedule.analysis();
   const std::size_t n = graph.task_count();
-  const ctg::ConditionSpace& space = analysis.space();
   for (std::size_t i = 0; i < n; ++i) {
     const TaskId a{static_cast<int>(i)};
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -333,15 +332,13 @@ void CheckExclusion(const sched::Schedule& schedule, Report& report) {
                    "algebra for " +
                        TaskLabel(graph, a) + " / " + TaskLabel(graph, b));
       }
-      if (space.valid()) {
-        const bool bit_compatible =
-            analysis.BitActivationGuard(a).CompatibleWith(
-                analysis.BitActivationGuard(b));
-        if (bit_compatible != dnf_compatible) {
-          report.Add("exclusion.form-mismatch",
-                     "BitGuard and DNF compatibility disagree for " +
-                         TaskLabel(graph, a) + " / " + TaskLabel(graph, b));
-        }
+      const bool bit_compatible =
+          analysis.BitActivationGuard(a).CompatibleWith(
+              analysis.BitActivationGuard(b));
+      if (bit_compatible != dnf_compatible) {
+        report.Add("exclusion.form-mismatch",
+                   "BitGuard and DNF compatibility disagree for " +
+                       TaskLabel(graph, a) + " / " + TaskLabel(graph, b));
       }
       const sched::TaskPlacement& pa = schedule.placement(a);
       const sched::TaskPlacement& pb = schedule.placement(b);

@@ -6,7 +6,19 @@
 
 namespace actg::ctg {
 
-ActivationAnalysis::ActivationAnalysis(const Ctg& graph) : graph_(&graph) {
+namespace {
+
+ConditionSpace ForkSpace(const Ctg& g) {
+  std::vector<int> arities;
+  arities.reserve(g.ForkIds().size());
+  for (TaskId fork : g.ForkIds()) arities.push_back(g.OutcomeCount(fork));
+  return ConditionSpace(g.ForkIds(), arities);
+}
+
+}  // namespace
+
+ActivationAnalysis::ActivationAnalysis(const Ctg& graph)
+    : graph_(&graph), space_(ForkSpace(graph)) {
   ComputeGuards();
   CompileBitGuards();
   ComputeMutex();
@@ -47,40 +59,23 @@ void ActivationAnalysis::ComputeGuards() {
 }
 
 void ActivationAnalysis::CompileBitGuards() {
-  const Ctg& g = *graph_;
-  std::vector<int> arities;
-  arities.reserve(g.ForkIds().size());
-  for (TaskId fork : g.ForkIds()) arities.push_back(g.OutcomeCount(fork));
-  space_ = ConditionSpace(g.ForkIds(), arities);
-  if (!space_.valid()) {
-    CountDnfFallback();
-    return;
-  }
   bit_guards_.resize(guards_.size());
   for (std::size_t i = 0; i < guards_.size(); ++i) {
-    if (!space_.Encode(guards_[i], bit_guards_[i])) {
-      // A guard the space cannot express; retire the whole compiled
-      // layer so every caller consistently uses the DNF algebra.
-      space_ = ConditionSpace();
-      bit_guards_.clear();
-      CountDnfFallback();
-      return;
-    }
+    const bool encoded = space_.Encode(guards_[i], bit_guards_[i]);
+    ACTG_ASSERT(encoded, "activation guard outside the graph's "
+                         "condition space");
   }
 }
 
 void ActivationAnalysis::ComputeMutex() {
   const std::size_t n = graph_->task_count();
   mutex_.assign(n, std::vector<bool>(n, false));
-  const bool use_bits = space_.valid();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       // Mutual exclusion is unsatisfiability of X(τi) ∧ X(τj) — a
       // form-independent predicate, so the compiled guards give the
       // same answer as the DNF walk.
-      const bool exclusive =
-          use_bits ? !bit_guards_[i].CompatibleWith(bit_guards_[j])
-                   : !guards_[i].CompatibleWith(guards_[j]);
+      const bool exclusive = !bit_guards_[i].CompatibleWith(bit_guards_[j]);
       mutex_[i][j] = exclusive;
       mutex_[j][i] = exclusive;
     }

@@ -48,14 +48,12 @@ class ActivationAnalysis {
     return ActivationGuard(task).minterms();
   }
 
-  /// Bit layout over the graph's forks. Invalid (valid() == false) when
-  /// the graph does not fit the fixed width; callers must then stay on
-  /// the DNF algebra.
+  /// Bit layout over the graph's forks, sized to the graph.
   const ConditionSpace& space() const { return space_; }
 
-  /// Compiled form of X(τ). Meaningful only when space().valid(); the
-  /// compiled guards answer exactly the form-independent predicates
-  /// (satisfiability, emptiness, evaluation) of the DNF guard.
+  /// Compiled form of X(τ) over space(). The compiled guards answer
+  /// exactly the form-independent predicates (satisfiability,
+  /// emptiness, evaluation) of the DNF guard.
   const BitGuard& BitActivationGuard(TaskId task) const {
     return bit_guards_.at(task.index());
   }
@@ -110,7 +108,7 @@ class ActivationAnalysis {
   const Ctg* graph_;
   std::vector<Guard> guards_;
   ConditionSpace space_;
-  std::vector<BitGuard> bit_guards_;  // empty when !space_.valid()
+  std::vector<BitGuard> bit_guards_;
   std::vector<std::vector<bool>> mutex_;
   std::vector<std::pair<TaskId, TaskId>> implied_deps_;
 };

@@ -17,38 +17,24 @@ PathEngine::PathEngine(const ctg::Ctg& graph,
       options_(options) {
   ACTG_CHECK(&analysis.graph() == &graph,
              "PathEngine analysis must be over the engine's graph");
-  use_bitset_ = !options_.force_dnf && analysis.space().valid();
-  if (!options_.force_dnf && !use_bitset_) ctg::CountDnfFallback();
-
-  if (use_bitset_) {
-    const ctg::ConditionSpace& space = analysis.space();
-    edge_cond_bits_.resize(graph.edge_count());
-    edge_has_cond_.assign(graph.edge_count(), false);
-    for (EdgeId eid : graph.EdgeIds()) {
-      const auto& cond = graph.edge(eid).condition;
-      if (!cond.has_value()) continue;
-      ctg::BitMinterm bm;
-      if (!space.Encode(*cond, bm)) {
-        // An edge condition the space cannot express: retire the
-        // compiled layer entirely so all guards use one representation.
-        use_bitset_ = false;
-        edge_cond_bits_.clear();
-        edge_has_cond_.clear();
-        ctg::CountDnfFallback();
-        break;
-      }
-      edge_cond_bits_[eid.index()] = bm;
-      edge_has_cond_[eid.index()] = true;
-    }
+  const ctg::ConditionSpace& space = analysis.space();
+  stride_ = 2 * space.words();
+  edge_cond_bits_.assign(graph.edge_count() * stride_, 0);
+  edge_has_cond_.assign(graph.edge_count(), false);
+  for (EdgeId eid : graph.EdgeIds()) {
+    const auto& cond = graph.edge(eid).condition;
+    if (!cond.has_value()) continue;
+    const bool encoded = space.Encode(
+        *cond, std::span(edge_cond_bits_).subspan(eid.index() * stride_,
+                                                  stride_));
+    ACTG_ASSERT(encoded, "edge condition outside the graph's condition "
+                         "space");
+    edge_has_cond_[eid.index()] = true;
   }
 
   const std::size_t n = graph.task_count();
   by_task_.resize(n);
-  if (use_bitset_) {
-    bit_stack_.resize(n + 1);
-  } else {
-    dnf_stack_.resize(n + 1);
-  }
+  guard_stack_.resize(n + 1);
 }
 
 void PathEngine::Enumerate(const sched::Schedule& schedule,
@@ -62,7 +48,6 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   task_pool_.clear();
   edge_pool_.clear();
   guard_pool_.clear();
-  dnf_guards_.clear();
   for (auto& spanning : by_task_) spanning.clear();
   task_stack_.clear();
   edge_stack_.clear();
@@ -77,15 +62,9 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   for (std::size_t s = 0; s < n; ++s) {
     if (has_pred_[s]) continue;
     const TaskId source{static_cast<int>(s)};
-    if (use_bitset_) {
-      bit_stack_[0] = analysis_->BitActivationGuard(source);
-      if (drop_unrealizable && bit_stack_[0].IsFalse()) continue;
-      VisitBit(schedule, source, 0, drop_unrealizable);
-    } else {
-      dnf_stack_[0] = analysis_->ActivationGuard(source);
-      if (drop_unrealizable && dnf_stack_[0].IsFalse()) continue;
-      VisitDnf(schedule, source, 0, drop_unrealizable);
-    }
+    guard_stack_[0] = analysis_->BitActivationGuard(source);
+    if (drop_unrealizable && guard_stack_[0].IsFalse()) continue;
+    Visit(schedule, source, 0, drop_unrealizable);
   }
   nominal_state_.resize(paths_.size());
   for (std::size_t i = 0; i < paths_.size(); ++i) {
@@ -95,48 +74,26 @@ void PathEngine::Enumerate(const sched::Schedule& schedule,
   if (span.enabled()) {
     span.AddArg(obs::IntArg("paths",
                             static_cast<std::int64_t>(paths_.size())));
-    span.AddArg(obs::IntArg("bitset", use_bitset_ ? 1 : 0));
   }
 }
 
-void PathEngine::VisitBit(const sched::Schedule& schedule, TaskId task,
-                          std::size_t depth, bool drop_unrealizable) {
+void PathEngine::Visit(const sched::Schedule& schedule, TaskId task,
+                       std::size_t depth, bool drop_unrealizable) {
   task_stack_.push_back(task);
   bool extended = false;
   for (const auto& [dst, eid] : adj_[task.index()]) {
-    ctg::BitGuard& next = bit_stack_[depth + 1];
-    next = bit_stack_[depth];
+    ctg::BitGuard& next = guard_stack_[depth + 1];
+    next = guard_stack_[depth];
     next.AndWith(analysis_->BitActivationGuard(dst), and_scratch_);
     if (eid.has_value() && edge_has_cond_[eid->index()]) {
-      next.AndWithMinterm(edge_cond_bits_[eid->index()]);
+      const std::size_t begin = eid->index() * stride_;
+      next.AndWithMinterm(ctg::BitMinterm(
+          std::span(edge_cond_bits_).subspan(begin, stride_)));
     }
     if (drop_unrealizable && next.IsFalse()) continue;
     extended = true;
     edge_stack_.push_back(eid);
-    VisitBit(schedule, dst, depth + 1, drop_unrealizable);
-    edge_stack_.pop_back();
-  }
-  if (!extended) Emit(schedule, depth);
-  task_stack_.pop_back();
-}
-
-void PathEngine::VisitDnf(const sched::Schedule& schedule, TaskId task,
-                          std::size_t depth, bool drop_unrealizable) {
-  const auto arity = graph_->ArityFn();
-  task_stack_.push_back(task);
-  bool extended = false;
-  for (const auto& [dst, eid] : adj_[task.index()]) {
-    ctg::Guard next =
-        dnf_stack_[depth].And(analysis_->ActivationGuard(dst), arity);
-    if (eid.has_value()) {
-      const auto& cond = graph_->edge(*eid).condition;
-      if (cond.has_value()) next = next.AndCondition(*cond, arity);
-    }
-    if (drop_unrealizable && next.IsFalse()) continue;
-    extended = true;
-    dnf_stack_[depth + 1] = std::move(next);
-    edge_stack_.push_back(eid);
-    VisitDnf(schedule, dst, depth + 1, drop_unrealizable);
+    Visit(schedule, dst, depth + 1, drop_unrealizable);
     edge_stack_.pop_back();
   }
   if (!extended) Emit(schedule, depth);
@@ -154,15 +111,11 @@ void PathEngine::Emit(const sched::Schedule& schedule, std::size_t depth) {
                     task_stack_.end());
   edge_pool_.insert(edge_pool_.end(), edge_stack_.begin(),
                     edge_stack_.end());
-  if (use_bitset_) {
-    const ctg::BitGuard& guard = bit_stack_[depth];
-    p.guard_begin = guard_pool_.size();
-    p.guard_count = guard.minterms().size();
-    guard_pool_.insert(guard_pool_.end(), guard.minterms().begin(),
-                       guard.minterms().end());
-  } else {
-    dnf_guards_.push_back(dnf_stack_[depth]);
-  }
+  const ctg::BitGuard& guard = guard_stack_[depth];
+  p.guard_begin = guard_pool_.size();
+  p.guard_count = guard.minterm_count();
+  guard_pool_.insert(guard_pool_.end(), guard.data().begin(),
+                     guard.data().end());
   // Delay accumulation order matches PathSet::PathSet exactly (edges in
   // path order, then tasks in path order) so results stay bit-identical.
   p.comm_ms = 0.0;
@@ -205,16 +158,18 @@ double PathEngine::SlackRatio(std::size_t i, double deadline_ms) const {
 bool PathEngine::GuardCompatibleWith(std::size_t i,
                                      const ctg::Minterm& m) const {
   const PathRecord& p = paths_.at(i);
-  if (use_bitset_) {
-    ctg::BitMinterm bm;
-    const bool ok = analysis_->space().Encode(m, bm);
-    ACTG_ASSERT(ok, "minterm outside the engine's condition space");
-    for (std::size_t k = 0; k < p.guard_count; ++k) {
-      if (guard_pool_[p.guard_begin + k].CompatibleWith(bm)) return true;
+  const bool encoded = analysis_->space().Encode(m, minterm_scratch_);
+  ACTG_ASSERT(encoded, "minterm outside the engine's condition space");
+  const ctg::BitMinterm bm(minterm_scratch_);
+  const std::span<const std::uint64_t> guard =
+      std::span(guard_pool_).subspan(p.guard_begin, p.guard_count * stride_);
+  for (std::size_t k = 0; k < p.guard_count; ++k) {
+    if (ctg::BitMinterm(guard.subspan(k * stride_, stride_))
+            .CompatibleWith(bm)) {
+      return true;
     }
-    return false;
   }
-  return dnf_guards_.at(i).CompatibleWith(m);
+  return false;
 }
 
 std::size_t PathEngine::PositionOf(std::size_t i, TaskId task) const {
@@ -259,11 +214,6 @@ double PathEngine::MaxDelay() const {
   double best = 0.0;
   for (const PathRecord& p : paths_) best = std::max(best, p.delay_ms);
   return best;
-}
-
-const ctg::Guard& PathEngine::DnfGuard(std::size_t i) const {
-  ACTG_CHECK(!use_bitset_, "DnfGuard is only available in DNF mode");
-  return dnf_guards_.at(i);
 }
 
 }  // namespace actg::dvfs

@@ -11,17 +11,12 @@
 /// adjacency, the DFS guard stack, per-task spanning lists, and a
 /// sched::DlsWorkspace for the scheduler's scratch buffers. Repeated
 /// Enumerate() calls reuse every buffer's capacity, and path guards are
-/// kept in the compiled bitset form of condition_bitset.h, so the
-/// realizability test at each DFS step and the guard-vs-minterm
-/// compatibility tests during stretching are word ops.
-///
-/// The engine falls back to the DNF algebra (with the
-/// "guard.dnf_fallbacks" metrics counter) when the graph does not fit
-/// the fixed bit width; PathEngineOptions::force_dnf selects the same
-/// DNF mode explicitly so benchmarks can compare the two
-/// representations in one binary. Both modes enumerate the same paths
-/// in the same order and answer the same predicates — the bitset is a
-/// representation change, not a semantics change.
+/// kept in the compiled bitset form of condition_bitset.h (sized to the
+/// graph, so every graph compiles), so the realizability test at each
+/// DFS step and the guard-vs-minterm compatibility tests during
+/// stretching are word ops. The bitset is a representation change, not
+/// a semantics change: the engine enumerates the same paths in the same
+/// order and answers the same predicates as the DNF-guarded PathSet.
 ///
 /// Lifetime and ownership rules: the engine borrows graph/analysis/
 /// platform (they must outlive it) and is bound to them for life; every
@@ -55,10 +50,6 @@ struct PathEngineOptions {
   /// The only place the stretchers' path-count bound lives: every
   /// engine they run on, pooled or transient, is built with it.
   std::size_t max_paths = 1 << 20;
-  /// Forces the DNF guard representation even when the graph fits the
-  /// bitset width. Exists so bench_micro can measure bitset vs DNF in
-  /// one binary; production callers leave it false.
-  bool force_dnf = false;
 };
 
 /// Reusable path-enumeration + stretch workspace. See the file comment
@@ -71,10 +62,6 @@ class PathEngine {
   const ctg::Ctg& graph() const { return *graph_; }
   const ctg::ActivationAnalysis& analysis() const { return *analysis_; }
   const PathEngineOptions& options() const { return options_; }
-
-  /// True when path guards are kept in bitset form; false in DNF mode
-  /// (fallback or force_dnf).
-  bool using_bitset() const { return use_bitset_; }
 
   /// Enumerates all source-to-sink paths of \p schedule's scheduled DAG
   /// into the engine's storage, replacing any previous enumeration.
@@ -145,10 +132,6 @@ class PathEngine {
   /// Largest delay over all paths of the current enumeration.
   double MaxDelay() const;
 
-  /// Path \p i's guard in DNF form; only available in DNF mode
-  /// (!using_bitset()), for tests and the mutex-blind baseline.
-  const ctg::Guard& DnfGuard(std::size_t i) const;
-
   /// Scratch buffers for sched::RunDls, so a controller-owned engine
   /// also amortizes the scheduler's per-call allocations.
   sched::DlsWorkspace& dls_workspace() { return dls_workspace_; }
@@ -158,17 +141,15 @@ class PathEngine {
     std::size_t task_begin = 0;
     std::size_t task_count = 0;
     std::size_t edge_begin = 0;  // task_count - 1 entries
-    std::size_t guard_begin = 0;  // bitset mode: into guard_pool_
-    std::size_t guard_count = 0;
+    std::size_t guard_begin = 0;  // first word in guard_pool_
+    std::size_t guard_count = 0;  // minterms
     double comm_ms = 0.0;
     double delay_ms = 0.0;
     double unlocked_ms = 0.0;
   };
 
-  void VisitBit(const sched::Schedule& schedule, TaskId task,
-                std::size_t depth, bool drop_unrealizable);
-  void VisitDnf(const sched::Schedule& schedule, TaskId task,
-                std::size_t depth, bool drop_unrealizable);
+  void Visit(const sched::Schedule& schedule, TaskId task,
+             std::size_t depth, bool drop_unrealizable);
   void Emit(const sched::Schedule& schedule, std::size_t depth);
   std::size_t PositionOf(std::size_t i, TaskId task) const;
 
@@ -176,18 +157,21 @@ class PathEngine {
   const ctg::ActivationAnalysis* analysis_;
   const arch::Platform* platform_;
   PathEngineOptions options_;
-  bool use_bitset_ = false;
+  /// Words of one compiled minterm: 2 * analysis.space().words(), the
+  /// stride of edge_cond_bits_ and guard_pool_.
+  std::size_t stride_ = 0;
 
-  // Compiled once at construction (bitset mode).
-  std::vector<ctg::BitMinterm> edge_cond_bits_;  // dense by edge index
+  // Compiled once at construction.
+  std::vector<std::uint64_t> edge_cond_bits_;  // one minterm per edge
   std::vector<bool> edge_has_cond_;
 
   // Reused across Enumerate() calls.
   sched::Schedule::DagAdjacency adj_;
   std::vector<bool> has_pred_;
-  std::vector<ctg::BitGuard> bit_stack_;   // DFS guard per depth
-  std::vector<ctg::Guard> dnf_stack_;      // DNF mode
+  std::vector<ctg::BitGuard> guard_stack_;  // DFS guard per depth
   ctg::BitGuard and_scratch_;
+  /// GuardCompatibleWith's encode buffer (the engine serves one thread).
+  mutable std::vector<std::uint64_t> minterm_scratch_;
   std::vector<TaskId> task_stack_;
   std::vector<std::optional<EdgeId>> edge_stack_;
 
@@ -199,8 +183,7 @@ class PathEngine {
   std::uint64_t enumeration_id_ = 0;
   std::vector<TaskId> task_pool_;
   std::vector<std::optional<EdgeId>> edge_pool_;
-  std::vector<ctg::BitMinterm> guard_pool_;
-  std::vector<ctg::Guard> dnf_guards_;
+  std::vector<std::uint64_t> guard_pool_;  // path guards' minterms
   std::vector<std::vector<std::size_t>> by_task_;
 
   sched::DlsWorkspace dls_workspace_;

@@ -35,7 +35,7 @@ class Metrics {
 
   /// Process-wide registry: the default for every component that takes
   /// an optional registry, and the target of the few always-present
-  /// counters (guard.dnf_fallbacks, sim.deadline_misses, ...).
+  /// counters (sim.deadline_misses, sim.overrun_instances, ...).
   static Metrics& Global();
 
   /// Adds \p delta to the named counter (creating it at zero).

@@ -15,6 +15,10 @@ util::Error TenantRequest::Validate() const {
     return util::Error::Invalid("TenantRequest '" + name +
                                 "': instances must be > 0");
   }
+  if (instances > kMaxTenantInstances) {
+    return util::Error::Invalid("TenantRequest '" + name +
+                                "': instances must be <= 2^20");
+  }
   if (!(threshold > 0.0) || threshold > 1.0) {
     return util::Error::Invalid("TenantRequest '" + name +
                                 "': threshold must lie in (0, 1]");
@@ -22,6 +26,10 @@ util::Error TenantRequest::Validate() const {
   if (window == 0) {
     return util::Error::Invalid("TenantRequest '" + name +
                                 "': window must be > 0");
+  }
+  if (window > kMaxWindow) {
+    return util::Error::Invalid("TenantRequest '" + name +
+                                "': window must be <= 2^16");
   }
   if (!dvfs::ParseStretchPolicy(policy)) {
     return util::Error::Invalid("TenantRequest '" + name +
@@ -47,6 +55,22 @@ util::Error ServeConfig::Validate() const {
   }
   if (recover_rounds == 0) {
     return util::Error::Invalid("ServeConfig: recover_rounds must be > 0");
+  }
+  const struct {
+    std::size_t value, ceiling;
+    const char* message;
+  } ceilings[] = {
+      {cache_shards, kMaxCacheShards, "shards must be <= 2^16"},
+      {shard_capacity, kMaxShardCapacity, "shard_capacity must be <= 2^20"},
+      {batch, kMaxBatch, "batch must be <= 2^20"},
+      {defer_depth, kMaxQueueDepth, "defer_depth must be <= 2^40"},
+      {shed_depth, kMaxQueueDepth, "shed_depth must be <= 2^40"},
+      {recover_rounds, kMaxRecoverRounds, "recover_rounds must be <= 2^20"},
+  };
+  for (const auto& c : ceilings) {
+    if (c.value > c.ceiling) {
+      return util::Error::Invalid(std::string("ServeConfig: ") + c.message);
+    }
   }
   for (double budget : budget_ms) {
     if (!(budget >= 0.0)) {

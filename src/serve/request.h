@@ -31,6 +31,19 @@
 
 namespace actg::serve {
 
+/// Ceilings TenantRequest/ServeConfig::Validate() enforce. A session
+/// materializes its tenant's whole trace, the cache allocates every
+/// shard up front and may keep shard_capacity schedules in each, so
+/// counts past these would only exhaust memory; the depth ceilings keep
+/// backlog sums far from wrapping.
+inline constexpr std::size_t kMaxTenantInstances = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxWindow = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxCacheShards = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxShardCapacity = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxBatch = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxQueueDepth = std::size_t{1} << 40;
+inline constexpr std::size_t kMaxRecoverRounds = std::size_t{1} << 20;
+
 /// One tenant's admission request.
 struct TenantRequest {
   /// Unique tenant name (report row key).
@@ -49,8 +62,9 @@ struct TenantRequest {
   std::size_t window = 20;
   std::string policy = "online";
 
-  /// Ok when the request is runnable: non-empty name, instances > 0,
-  /// threshold in (0, 1], window > 0, a known stretch policy name.
+  /// Ok when the request is runnable: non-empty name, instances in
+  /// [1, kMaxTenantInstances], threshold in (0, 1], window in
+  /// [1, kMaxWindow], a known stretch policy name.
   util::Error Validate() const;
 };
 
@@ -88,8 +102,9 @@ struct ServeConfig {
   /// tenant (adaptive::AdaptiveOptions::validate_schedules).
   bool validate = false;
 
-  /// Ok when batch, cache_shards and recover_rounds are positive and
-  /// defer_depth <= shed_depth (both positive).
+  /// Ok when batch, cache_shards and recover_rounds are positive,
+  /// defer_depth <= shed_depth (both positive) and every count is at
+  /// most its kMax* ceiling.
   util::Error Validate() const;
 };
 

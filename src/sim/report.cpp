@@ -73,17 +73,15 @@ void WriteReport(std::ostream& os, const ScheduleReport& report) {
 namespace {
 
 /// Counter snapshot with the health counters callers watch for always
-/// materialized: guard.dnf_fallbacks stays visible (as 0) even when the
-/// bitset guard algebra never fell back, and the miss/overrun/fault and
-/// degradation counters stay visible (as 0) on clean runs, so their
-/// absence is never mistaken for "not measured".
+/// materialized: the miss/overrun/fault and degradation counters stay
+/// visible (as 0) on clean runs, so their absence is never mistaken for
+/// "not measured".
 std::map<std::string, std::uint64_t> ReportedCounters(
     const runtime::Metrics& metrics) {
   auto counters = metrics.Counters();
   for (const char* name :
-       {"guard.dnf_fallbacks", "sim.deadline_misses",
-        "sim.overrun_instances", "faults.injected_instances",
-        "degrade.escalations"}) {
+       {"sim.deadline_misses", "sim.overrun_instances",
+        "faults.injected_instances", "degrade.escalations"}) {
     counters.try_emplace(name, metrics.counter(name));
   }
   return counters;
@@ -105,7 +103,7 @@ void WriteMetricsReport(std::ostream& os,
 
 void WriteMetricsCsv(std::ostream& os, const runtime::Metrics& metrics) {
   // Same layout as Metrics::WriteCsv, over the report's counter view
-  // (guard.dnf_fallbacks always present).
+  // (health counters always present).
   os << "metric,kind,value\n";
   for (const auto& [name, value] : ReportedCounters(metrics)) {
     os << name << ",counter," << value << "\n";

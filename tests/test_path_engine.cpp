@@ -2,9 +2,11 @@
 /// Equivalence tests of the reusable dvfs::PathEngine against the
 /// from-scratch PathSet enumeration, over generated Category-1 and
 /// Category-2 CTGs: same paths in the same order, same delays and
-/// probabilities, same guard predicates — in bitset mode and in the
-/// force_dnf fallback mode — and identical results whether an engine is
-/// fresh or reused across enumerations and stretch calls.
+/// probabilities, same guard predicates — on a graph wider than 256
+/// outcome bits too — and identical results whether an engine is fresh
+/// or reused across enumerations and stretch calls. PathSet keeps its
+/// guards in the DNF algebra, so it is the engine's independent
+/// reference for the compiled bitset guards.
 
 #include <cstdint>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "apps/common.h"
 #include "apps/fig1_example.h"
+#include "arch/platform.h"
 #include "ctg/activation.h"
 #include "dvfs/path_engine.h"
 #include "dvfs/paths.h"
@@ -64,8 +67,11 @@ void ForEachCase(Fn&& fn) {
 /// schedule element for element.
 void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
                           const dvfs::PathSet& expected,
-                          const Case& c) {
+                          const ctg::ActivationAnalysis& analysis,
+                          const ctg::BranchProbabilities& probs) {
   ASSERT_EQ(engine.size(), expected.size());
+  const std::vector<ctg::Minterm> scenarios =
+      analysis.EnumerateScenarioAssignments();
   for (std::size_t i = 0; i < expected.size(); ++i) {
     const dvfs::Path& path = expected.path(i);
     const auto tasks = engine.TasksOf(i);
@@ -84,22 +90,21 @@ void ExpectMatchesPathSet(const dvfs::PathEngine& engine,
 
     // Guard predicates agree for every scenario minterm and for every
     // Γ(τ) minterm of the tasks on the path.
-    for (const ctg::Minterm& scenario :
-         c.analysis.EnumerateScenarioAssignments()) {
+    for (const ctg::Minterm& scenario : scenarios) {
       EXPECT_EQ(engine.GuardCompatibleWith(i, scenario),
                 path.guard.CompatibleWith(scenario));
     }
     for (TaskId task : path.tasks) {
-      for (const ctg::Minterm& m : c.analysis.Gamma(task)) {
+      for (const ctg::Minterm& m : analysis.Gamma(task)) {
         EXPECT_EQ(engine.GuardCompatibleWith(i, m),
                   path.guard.CompatibleWith(m));
       }
-      EXPECT_EQ(engine.ProbAfter(i, task, c.probs),
-                expected.ProbAfter(i, task, c.probs));
+      EXPECT_EQ(engine.ProbAfter(i, task, probs),
+                expected.ProbAfter(i, task, probs));
     }
   }
   EXPECT_EQ(engine.MaxDelay(), expected.MaxDelay());
-  for (TaskId task : c.rc.graph.TaskIds()) {
+  for (TaskId task : analysis.graph().TaskIds()) {
     EXPECT_EQ(engine.Spanning(task), expected.Spanning(task));
   }
 }
@@ -110,16 +115,52 @@ TEST(PathEngine, MatchesPathSetOnGeneratedCtgs) {
         sched::RunDls(c.rc.graph, c.analysis, c.rc.platform, c.probs);
     for (bool drop_unrealizable : {true, false}) {
       const dvfs::PathSet expected(schedule, 1 << 20, drop_unrealizable);
-      for (bool force_dnf : {false, true}) {
-        dvfs::PathEngine engine(
-            c.rc.graph, c.analysis, c.rc.platform,
-            dvfs::PathEngineOptions{.force_dnf = force_dnf});
-        EXPECT_EQ(engine.using_bitset(), !force_dnf);
-        engine.Enumerate(schedule, drop_unrealizable);
-        ExpectMatchesPathSet(engine, expected, c);
-      }
+      dvfs::PathEngine engine(c.rc.graph, c.analysis, c.rc.platform);
+      engine.Enumerate(schedule, drop_unrealizable);
+      ExpectMatchesPathSet(engine, expected, c.analysis, c.probs);
     }
   });
+}
+
+TEST(PathEngine, MatchesPathSetOnWideGraph) {
+  // One 257-outcome fork: 257 outcome bits, five words per minterm
+  // half, the last outcome alone in the last word. The compiled guards
+  // must enumerate and answer exactly like PathSet's DNF guards. The
+  // branches end the graph (no 257-way or-join), which keeps the DNF
+  // activation analysis cheap.
+  ctg::CtgBuilder builder;
+  const TaskId source = builder.AddTask("src");
+  const TaskId fork = builder.AddTask("fork");
+  builder.AddEdge(source, fork, 2.0);
+  for (int o = 0; o < 257; ++o) {
+    const TaskId branch =
+        builder.AddTask(std::string("b").append(std::to_string(o)));
+    builder.AddConditionalEdge(fork, branch, o, 1.0);
+  }
+  builder.SetDeadline(1000.0);
+  const ctg::Ctg graph = std::move(builder).Build();
+  arch::PlatformBuilder pb(graph.task_count(), 2);
+  for (TaskId t : graph.TaskIds()) {
+    pb.SetTaskCost(t, PeId{0}, 1.0 + static_cast<double>(t.index() % 7),
+                   2.0);
+    pb.SetTaskCost(t, PeId{1}, 1.5 + static_cast<double>(t.index() % 5),
+                   1.5);
+  }
+  const arch::Platform platform = std::move(pb).Build();
+  const ctg::ActivationAnalysis analysis(graph);
+  ASSERT_EQ(analysis.space().bit_count(), 257u);
+  ASSERT_EQ(analysis.space().words(), 5u);
+  const ctg::BranchProbabilities probs = apps::UniformProbabilities(graph);
+
+  const sched::Schedule schedule =
+      sched::RunDls(graph, analysis, platform, probs);
+  dvfs::PathEngine engine(graph, analysis, platform);
+  for (bool drop_unrealizable : {true, false}) {
+    const dvfs::PathSet expected(schedule, 1 << 20, drop_unrealizable);
+    engine.Enumerate(schedule, drop_unrealizable);
+    ASSERT_GE(engine.size(), 257u);
+    ExpectMatchesPathSet(engine, expected, analysis, probs);
+  }
 }
 
 TEST(PathEngine, ReuseAcrossEnumerationsMatchesFreshEngine) {
@@ -135,11 +176,12 @@ TEST(PathEngine, ReuseAcrossEnumerationsMatchesFreshEngine) {
     // schedule (reuse leaves no residue in the pooled storage).
     dvfs::PathEngine engine(c.rc.graph, c.analysis, c.rc.platform);
     engine.Enumerate(nominal);
-    ExpectMatchesPathSet(engine, dvfs::PathSet(nominal), c);
+    ExpectMatchesPathSet(engine, dvfs::PathSet(nominal), c.analysis, c.probs);
     engine.Enumerate(stretched);
-    ExpectMatchesPathSet(engine, dvfs::PathSet(stretched), c);
+    ExpectMatchesPathSet(engine, dvfs::PathSet(stretched), c.analysis,
+                         c.probs);
     engine.Enumerate(nominal);
-    ExpectMatchesPathSet(engine, dvfs::PathSet(nominal), c);
+    ExpectMatchesPathSet(engine, dvfs::PathSet(nominal), c.analysis, c.probs);
   });
 }
 
@@ -168,9 +210,9 @@ TEST(PathEngine, CommitTaskMatchesPathSet) {
 }
 
 TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
-  // The three configurations the stretchers support — transient
-  // engine (no engine argument), persistent bitset engine, persistent
-  // force_dnf engine — must produce bit-identical schedules.
+  // The two configurations the stretchers support — transient engine
+  // (no engine argument) and persistent engine — must produce
+  // bit-identical schedules.
   ForEachCase([&](const Case& c) {
     auto stretch = [&](dvfs::PathEngine* engine) {
       sched::Schedule s =
@@ -182,23 +224,18 @@ TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
     };
 
     const sched::Schedule baseline = stretch(nullptr);
-    dvfs::PathEngine bit_engine(c.rc.graph, c.analysis, c.rc.platform);
-    dvfs::PathEngine dnf_engine(
-        c.rc.graph, c.analysis, c.rc.platform,
-        dvfs::PathEngineOptions{.force_dnf = true});
-    // Two rounds through each persistent engine: the second round runs
+    dvfs::PathEngine engine(c.rc.graph, c.analysis, c.rc.platform);
+    // Two rounds through the persistent engine: the second round runs
     // on warmed pools and must not drift.
     for (int round = 0; round < 2; ++round) {
-      for (dvfs::PathEngine* engine : {&bit_engine, &dnf_engine}) {
-        const sched::Schedule candidate = stretch(engine);
-        for (TaskId task : c.rc.graph.TaskIds()) {
-          const auto& a = baseline.placement(task);
-          const auto& b = candidate.placement(task);
-          EXPECT_EQ(a.speed_ratio, b.speed_ratio);
-          EXPECT_EQ(a.start_ms, b.start_ms);
-          EXPECT_EQ(a.finish_ms, b.finish_ms);
-          EXPECT_EQ(a.pe, b.pe);
-        }
+      const sched::Schedule candidate = stretch(&engine);
+      for (TaskId task : c.rc.graph.TaskIds()) {
+        const auto& a = baseline.placement(task);
+        const auto& b = candidate.placement(task);
+        EXPECT_EQ(a.speed_ratio, b.speed_ratio);
+        EXPECT_EQ(a.start_ms, b.start_ms);
+        EXPECT_EQ(a.finish_ms, b.finish_ms);
+        EXPECT_EQ(a.pe, b.pe);
       }
     }
   });
@@ -206,31 +243,25 @@ TEST(PathEngine, StretchResultsBitIdenticalAcrossModes) {
 
 TEST(PathEngine, MaxPathsEnforced) {
   // PathEngineOptions::max_paths is the one path-count bound every
-  // stretcher runs under; enumeration past it must throw, in both guard
-  // representations, and name the bound.
+  // stretcher runs under; enumeration past it must throw and name the
+  // bound.
   const apps::Fig1Example ex = apps::MakeFig1Example();
   const ctg::ActivationAnalysis analysis(ex.graph);
   const sched::Schedule s =
       sched::RunDls(ex.graph, analysis, ex.platform, ex.probs);
-  for (bool force_dnf : {false, true}) {
-    SCOPED_TRACE(force_dnf ? "dnf" : "bitset");
-    dvfs::PathEngine bounded(
-        ex.graph, analysis, ex.platform,
-        dvfs::PathEngineOptions{.max_paths = 1, .force_dnf = force_dnf});
-    try {
-      bounded.Enumerate(s);
-      FAIL() << "enumeration past max_paths = 1 should have thrown";
-    } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("max_paths"), std::string::npos)
-          << e.what();
-    }
-
-    dvfs::PathEngine unbounded(
-        ex.graph, analysis, ex.platform,
-        dvfs::PathEngineOptions{.force_dnf = force_dnf});
-    unbounded.Enumerate(s);
-    EXPECT_GT(unbounded.size(), 1u);
+  dvfs::PathEngine bounded(ex.graph, analysis, ex.platform,
+                           dvfs::PathEngineOptions{.max_paths = 1});
+  try {
+    bounded.Enumerate(s);
+    FAIL() << "enumeration past max_paths = 1 should have thrown";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_paths"), std::string::npos)
+        << e.what();
   }
+
+  dvfs::PathEngine unbounded(ex.graph, analysis, ex.platform);
+  unbounded.Enumerate(s);
+  EXPECT_GT(unbounded.size(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "apps/common.h"
 #include "apps/fig1_example.h"
 #include "check/validator.h"
 #include "dvfs/algorithms.h"
+#include "dvfs/paths.h"
 #include "dvfs/stretch.h"
 #include "sched/dls.h"
 #include "sim/energy.h"
@@ -244,6 +248,66 @@ TEST(StretchFig1, RequiresPositiveDeadline) {
   EXPECT_THROW(StretchOnline(s, probs), InvalidArgument);
   EXPECT_THROW(StretchProportional(s), InvalidArgument);
   EXPECT_THROW(StretchNlp(s, probs), InvalidArgument);
+}
+
+TEST(StretchFig1, EqualRatioTieGoesToFirstEnumeratedPath) {
+  // Pins StretchOnline's tie rule: under one Γ(τ) minterm, the critical
+  // uncertain path is the first one in enumeration order among those
+  // with the lowest slack ratio. Here the entry task src is spanned by
+  // src-fork-left-sink and src-fork-right-sink: equal delays (one PE,
+  // equal WCETs, no communication), so equal ratios, but prob(p, src)
+  // is 0.3 on one and 0.7 on the other. The implied fork -> sink
+  // dependency adds a third, certain path src-fork-sink.
+  ctg::CtgBuilder b;
+  const TaskId src = b.AddTask("src");
+  const TaskId fork = b.AddTask("fork");
+  const TaskId left = b.AddTask("left");
+  const TaskId right = b.AddTask("right");
+  const TaskId sink = b.AddOrTask("sink");
+  b.AddEdge(src, fork);
+  b.AddConditionalEdge(fork, left, 0);
+  b.AddConditionalEdge(fork, right, 1);
+  b.AddEdge(left, sink);
+  b.AddEdge(right, sink);
+  b.SetDeadline(100.0);
+  const ctg::Ctg g = std::move(b).Build();
+  arch::PlatformBuilder pb(g.task_count(), 1);
+  for (TaskId t : g.TaskIds()) pb.SetTaskCost(t, PeId{0}, 10.0, 10.0);
+  pb.SetMinSpeedRatio(PeId{0}, 0.1);
+  const arch::Platform platform = std::move(pb).Build();
+  const ctg::ActivationAnalysis analysis(g);
+  ctg::BranchProbabilities probs(g.task_count());
+  probs.Set(fork, {0.3, 0.7});
+
+  sched::Schedule s = sched::RunDls(g, analysis, platform, probs);
+  ASSERT_EQ(s.placement(src).order_index, 0);  // committed first
+  ASSERT_EQ(analysis.Gamma(src).size(), 1u);
+  const double deadline = g.deadline_ms();
+  const double wcet = s.NominalWcet(src);
+  const PathSet paths(s);
+  std::vector<std::size_t> uncertain;  // in enumeration order
+  double slk2 = std::numeric_limits<double>::infinity();
+  for (std::size_t i : paths.Spanning(src)) {
+    if (paths.ProbAfter(i, src, probs) < 1.0) {
+      uncertain.push_back(i);
+    } else {
+      slk2 = std::min(slk2, wcet * paths.path(i).SlackRatio(deadline));
+    }
+  }
+  ASSERT_EQ(uncertain.size(), 2u);
+  const double ratio = paths.path(uncertain[0]).SlackRatio(deadline);
+  ASSERT_EQ(paths.path(uncertain[1]).SlackRatio(deadline), ratio);
+  const double first_prob = paths.ProbAfter(uncertain[0], src, probs);
+  const double second_prob = paths.ProbAfter(uncertain[1], src, probs);
+  ASSERT_NE(first_prob, second_prob);
+  // Both candidate slk1 values stay below slk2, so the tie decides.
+  ASSERT_LT(std::max(first_prob, second_prob) * wcet * ratio, slk2);
+
+  StretchOnline(s, probs);
+  const double slack = first_prob * wcet * ratio;  // p_task = 1
+  EXPECT_DOUBLE_EQ(s.placement(src).speed_ratio, wcet / (wcet + slack));
+  EXPECT_NE(s.placement(src).speed_ratio,
+            wcet / (wcet + second_prob * wcet * ratio));
 }
 
 TEST(StretchNlpConfig, MoreIterationsNeverWorse) {
