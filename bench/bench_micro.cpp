@@ -33,6 +33,14 @@ namespace {
 
 using namespace actg;
 
+/// The run's registry: the benchmarks that build controllers wire it in,
+/// and main() dumps it (google-benchmark owns main's control flow, so
+/// the registry cannot live on main's stack).
+runtime::Metrics& RunMetrics() {
+  static runtime::Metrics metrics;
+  return metrics;
+}
+
 struct Workbench {
   tgff::RandomCase rc;
   ctg::ActivationAnalysis analysis;
@@ -165,6 +173,7 @@ void BM_AdaptiveStepNoTrigger(benchmark::State& state) {
           .WithProfile(wb.probs)
           .WithWindow(20)
           .WithThreshold(0.99)
+          .WithMetrics(&RunMetrics())
           .BuildAdaptive();
   ctg::BranchAssignment assignment(wb.rc.graph.task_count());
   for (TaskId fork : wb.rc.graph.ForkIds()) assignment.Set(fork, 0);
@@ -262,7 +271,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (const char* path = std::getenv("ACTG_METRICS_CSV")) {
     actg::util::AtomicFile out(path);
-    actg::sim::WriteMetricsCsv(out.os(), actg::runtime::Metrics::Global());
+    actg::sim::WriteMetricsCsv(out.os(), RunMetrics());
     const actg::util::Error err = out.Commit();
     if (!err.ok()) {
       std::cerr << "bench_micro: " << err.message() << "\n";

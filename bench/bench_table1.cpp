@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
 
   obs::ScopedTracing tracing(argc, argv);
   runtime::Pool pool(runtime::ParseJobs(argc, argv));
+  runtime::Metrics metrics;
 
   util::PrintBanner(std::cout,
                     "Table 1 - Energy consumption of online algorithm "
@@ -117,6 +118,6 @@ int main(int argc, char** argv) {
   std::cout << "Paper reference values: Ref1 = 195/145/130/139/290, "
                "Ref2 = 87/93/95/91/97.\n";
 
-  sim::WriteMetricsReport(std::cerr, runtime::Metrics::Global());
+  sim::WriteMetricsReport(std::cerr, metrics);
   return 0;
 }

@@ -120,13 +120,9 @@ ctg::BranchProbabilities BiasedProfile(
   return profile;
 }
 
-sim::RunSummary AdaptiveHarness::Run(const trace::BranchTrace& vectors) {
-  return adaptive::RunAdaptive(*controller_, vectors);
-}
-
-sim::RunSummary AdaptiveHarness::RunWithFaults(
-    const trace::BranchTrace& vectors, const faults::Injector& injector) {
-  return adaptive::RunAdaptiveWithFaults(*controller_, vectors, injector);
+sim::RunSummary AdaptiveHarness::Run(const trace::BranchTrace& vectors,
+                                     const faults::Injector* injector) {
+  return adaptive::RunAdaptive(*controller_, vectors, injector);
 }
 
 sched::Schedule ExperimentSpec::BuildOnlineSchedule() const {
@@ -151,6 +147,7 @@ AdaptiveHarness ExperimentSpec::BuildAdaptive() const {
   options.trace = trace_;
   options.cache = runtime::CacheBinding{harness.cache_.get(), 0};
   options.reschedule.mode = reschedule_mode_;
+  options.metrics = metrics_;
   if (reschedule_mode_ == adaptive::RescheduleMode::kTable) {
     dvfs::ScheduleTableOptions table_options;
     table_options.policy = policy_;

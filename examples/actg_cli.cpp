@@ -236,8 +236,7 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   }
   const faults::Injector injector(plan.value(), graph, platform, seed);
 
-  const sim::RunSummary base =
-      sim::RunTraceWithFaults(online, vectors, injector);
+  const sim::RunSummary base = sim::RunTrace(online, vectors, &injector);
   util::TablePrinter table({"configuration", "total energy (mJ)",
                             "avg (mJ)", "re-schedules", "misses",
                             "overruns", "escalations"});
@@ -260,7 +259,7 @@ int CmdSimulate(int argc, char** argv, const SimulateFlags& flags) {
   for (double threshold : {0.5, 0.1}) {
     bench::AdaptiveHarness harness =
         spec.WithThreshold(threshold).BuildAdaptive();
-    const sim::RunSummary run = harness.RunWithFaults(vectors, injector);
+    const sim::RunSummary run = harness.Run(vectors, &injector);
     table.BeginRow()
         .Cell("adaptive T=" + util::TablePrinter::Format(threshold, 1))
         .Cell(run.total_energy_mj, 1)

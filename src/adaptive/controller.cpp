@@ -86,11 +86,6 @@ obs::TraceSession* AdaptiveController::TraceTarget() const {
                                    : obs::TraceSession::Current();
 }
 
-runtime::Metrics& AdaptiveController::MetricsTarget() const {
-  return options_.metrics != nullptr ? *options_.metrics
-                                     : runtime::Metrics::Global();
-}
-
 sched::Schedule AdaptiveController::Reschedule(
     const RescheduleRequest& request) {
   return rescheduler_->Reschedule(in_use_, request, TraceTarget()).schedule;
@@ -141,6 +136,10 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
   // instance on.
   const sim::InstanceResult result =
       sim::ExecuteInstance(schedule_, assignment, faults);
+  runtime::Metrics& metrics = rescheduler_->metrics();
+  if (!result.deadline_met) metrics.Increment("sim.deadline_misses");
+  if (result.overrun_ms > 0.0) metrics.Increment("sim.overrun_instances");
+  if (result.faults_injected) metrics.Increment("faults.injected_instances");
 
   // Timeline rows describe the schedule the instance just executed
   // with, before any adaptation below replaces it.
@@ -196,7 +195,7 @@ sim::InstanceResult AdaptiveController::ProcessInstance(
     sched::Schedule candidate = Reschedule(
         RescheduleRequest{options_.dls.available_pes, 0.0, "threshold"});
     ++reschedule_count_;
-    MetricsTarget().Increment("adaptive.reschedule_calls");
+    metrics.Increment("adaptive.reschedule_calls");
     if (sim::ExpectedEnergy(candidate, in_use_) <
         sim::ExpectedEnergy(schedule_, in_use_)) {
       schedule_ = std::move(candidate);
@@ -230,7 +229,7 @@ void AdaptiveController::LogDegrade(obs::TraceSession* trace,
 bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
                                    const faults::InstanceFaults* faults,
                                    obs::TraceSession* trace) {
-  runtime::Metrics& metrics = MetricsTarget();
+  runtime::Metrics& metrics = rescheduler_->metrics();
 
   // Failed-PE sightings accumulate over the degraded episode so an
   // out-of-band reschedule avoids every PE seen failing, not only the
@@ -337,22 +336,17 @@ bool AdaptiveController::RunLadder(const sim::InstanceResult& result,
 }
 
 sim::RunSummary RunAdaptive(AdaptiveController& controller,
-                            const trace::BranchTrace& trace) {
+                            const trace::BranchTrace& trace,
+                            const faults::Injector* injector) {
   sim::RunSummary summary;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    summary.Add(controller.ProcessInstance(trace.At(i)));
-  }
-  return summary;
-}
-
-sim::RunSummary RunAdaptiveWithFaults(AdaptiveController& controller,
-                                      const trace::BranchTrace& trace,
-                                      const faults::Injector& injector) {
-  sim::RunSummary summary;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const faults::InstanceFaults f = injector.ForInstance(i);
+    if (injector == nullptr) {
+      summary.Add(controller.ProcessInstance(trace.At(i)));
+      continue;
+    }
+    const faults::InstanceFaults f = injector->ForInstance(i);
     ctg::BranchAssignment assignment = trace.At(i);
-    injector.ApplyDrift(i, assignment);
+    injector->ApplyDrift(i, assignment);
     summary.Add(controller.ProcessInstance(assignment, &f));
   }
   return summary;

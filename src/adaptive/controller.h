@@ -119,12 +119,11 @@ struct AdaptiveOptions {
   /// warm-start incremental DLS, or precomputed-table selection (see
   /// adaptive::RescheduleOptions / the Rescheduler facade).
   RescheduleOptions reschedule;
-  /// Metrics registry the controller reports its counters and latency
-  /// distributions into; nullptr (the default) means the process-wide
-  /// runtime::Metrics::Global(). A multi-tenant host passes its own
-  /// registry so thousands of coexisting controllers do not funnel
-  /// through — or pollute — process-global state. Per-stage wall-clock
-  /// time is recorded as obs spans on options.trace, not as metrics.
+  /// Metrics registry the controller reports its counters (including
+  /// the per-instance sim.deadline_misses, sim.overrun_instances and
+  /// faults.injected_instances) and latency distributions into; nullptr
+  /// (the default) means a private one (see metrics()). Per-stage
+  /// wall-clock time is recorded as obs spans, not as metrics.
   runtime::Metrics* metrics = nullptr;
   /// Graceful-degradation ladder (off by default; see DegradeOptions).
   DegradeOptions degrade;
@@ -154,8 +153,8 @@ struct AdaptiveOptions {
 /// profiler, the reschedule engine, the ladder) — it holds no hidden
 /// globals, so thousands of instances coexist in one process and
 /// distinct instances may run on distinct threads concurrently. The
-/// only process-wide services it touches are explicitly injectable:
-/// the metrics registry (options.metrics, default Global()), the trace
+/// shared services it touches are explicitly injectable: the metrics
+/// registry (options.metrics, default a private one), the trace
 /// session (options.trace, default Current()) and the schedule cache
 /// (options.cache, default unbound); the policy name is parsed once at
 /// construction and the stretchers themselves are stateless.
@@ -224,6 +223,9 @@ class AdaptiveController {
   /// (exact / warm / table / full outcomes) and fingerprints.
   const Rescheduler& rescheduler() const { return *rescheduler_; }
 
+  /// The registry this controller and its facade report into.
+  const runtime::Metrics& metrics() const { return rescheduler_->metrics(); }
+
  private:
   /// One reschedule through the facade (see adaptive::Rescheduler): the
   /// request carries the PE mask and speed floor, the facade owns the
@@ -232,9 +234,6 @@ class AdaptiveController {
   sched::Schedule Reschedule(const RescheduleRequest& request);
   /// The session this controller records into (explicit or current).
   obs::TraceSession* TraceTarget() const;
-  /// The metrics registry this controller reports into (explicit or
-  /// the process-wide Global()).
-  runtime::Metrics& MetricsTarget() const;
   void EmitTimeline(obs::TraceSession& trace,
                     const ctg::BranchAssignment& assignment) const;
   /// Applies one instance's outcome to the degradation ladder. Returns
@@ -285,16 +284,14 @@ class AdaptiveController {
 
 /// Runs a whole trace through an adaptive controller and aggregates the
 /// results (the adaptive rows/series of Fig. 5 and Tables 2-5).
+///
+/// \p injector, when given, applies fault injection: each instance runs
+/// with the injector's effects for its index, after branch-profile
+/// drift is applied to a copy of the traced assignment. With an empty
+/// plan the summary equals the injector-free run's bit for bit.
 sim::RunSummary RunAdaptive(AdaptiveController& controller,
-                            const trace::BranchTrace& trace);
-
-/// RunAdaptive under fault injection: each instance runs with
-/// \p injector's effects for its index, after branch-profile drift is
-/// applied to a copy of the traced assignment. With an empty plan the
-/// summary equals RunAdaptive's bit for bit.
-sim::RunSummary RunAdaptiveWithFaults(AdaptiveController& controller,
-                                      const trace::BranchTrace& trace,
-                                      const faults::Injector& injector);
+                            const trace::BranchTrace& trace,
+                            const faults::Injector* injector = nullptr);
 
 }  // namespace actg::adaptive
 

@@ -137,6 +137,11 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       analysis_(&analysis),
       platform_(&platform),
       config_(std::move(config)),
+      own_metrics_(config_.metrics == nullptr
+                       ? std::make_unique<runtime::Metrics>()
+                       : nullptr),
+      metrics_(config_.metrics != nullptr ? config_.metrics
+                                          : own_metrics_.get()),
       verify_incremental_(config_.reschedule.verify_incremental ||
                           VerifyEnvSet()),
       graph_fingerprint_(runtime::FingerprintCtg(graph)),
@@ -145,11 +150,6 @@ Rescheduler::Rescheduler(const ctg::Ctg& graph,
       engine_(graph, analysis, platform) {
   config_.Validate().ThrowIfError();
   config_fingerprint_ = FingerprintConfig(config_);
-}
-
-runtime::Metrics& Rescheduler::MetricsTarget() const {
-  return config_.metrics != nullptr ? *config_.metrics
-                                    : runtime::Metrics::Global();
 }
 
 runtime::ScheduleCacheKey Rescheduler::MakeKey(
@@ -275,7 +275,7 @@ std::optional<RescheduleResult> Rescheduler::ComputeIncremental(
       config_.reschedule.max_dirty_ratio, &engine_.dls_workspace());
   if (inc.fell_back) {
     ++tiers_.incremental_fallbacks;
-    MetricsTarget().Increment("resched.incremental_fallbacks");
+    metrics_->Increment("resched.incremental_fallbacks");
     return std::nullopt;
   }
   RescheduleResult result{std::move(inc.schedule), dvfs::StretchStats{},
@@ -357,7 +357,7 @@ void Rescheduler::VerifyIncremental(const ctg::BranchProbabilities& probs,
   expect.speed_floor = req.speed_floor;
   check::Validate(got.schedule, expect);
   check::Validate(reference, expect);
-  runtime::Metrics& metrics = MetricsTarget();
+  runtime::Metrics& metrics = *metrics_;
   metrics.Increment("resched.verify.runs");
   const double e_ref = sim::ExpectedEnergy(reference, probs);
   if (e_ref > 0.0) {
@@ -384,7 +384,7 @@ void Rescheduler::CountTier(RescheduleTier tier) {
       ++tiers_.full;
       break;
   }
-  MetricsTarget().Increment(std::string("resched.tier.") +
+  metrics_->Increment(std::string("resched.tier.") +
                             RescheduleTierName(tier));
 }
 
@@ -461,7 +461,7 @@ RescheduleResult Rescheduler::Reschedule(
           std::chrono::steady_clock::now() - begin)
           .count() *
       1e-3;
-  runtime::Metrics& metrics = MetricsTarget();
+  runtime::Metrics& metrics = *metrics_;
   metrics.Observe("reschedule.latency_us", us);
   if (result->tier != RescheduleTier::kExact) {
     metrics.Observe("reschedule.compute_latency_us", us);

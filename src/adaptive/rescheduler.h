@@ -171,7 +171,7 @@ struct ReschedulerConfig {
   runtime::CacheBinding cache;
   RescheduleOptions reschedule;
   /// Registry for the tier counters and latency distributions; nullptr
-  /// means runtime::Metrics::Global(). The stages below the facade
+  /// gives the facade a private registry. The stages below the facade
   /// (DLS, path enumeration, stretch) record obs spans, not metrics.
   runtime::Metrics* metrics = nullptr;
   /// Oracle-check every freshly computed schedule (see
@@ -217,9 +217,9 @@ class Rescheduler {
     return platform_fingerprint_;
   }
   std::uint64_t config_fingerprint() const { return config_fingerprint_; }
+  runtime::Metrics& metrics() const { return *metrics_; }
 
  private:
-  runtime::Metrics& MetricsTarget() const;
   runtime::ScheduleCacheKey MakeKey(
       const ctg::BranchProbabilities& probs) const;
   /// probs reconstructed from a cache key's flattened vector.
@@ -260,6 +260,8 @@ class Rescheduler {
   const ctg::ActivationAnalysis* analysis_;
   const arch::Platform* platform_;
   ReschedulerConfig config_;
+  std::unique_ptr<runtime::Metrics> own_metrics_;  ///< null if injected
+  runtime::Metrics* metrics_;
   bool verify_incremental_;
   std::uint64_t graph_fingerprint_ = 0;
   std::uint64_t platform_fingerprint_ = 0;

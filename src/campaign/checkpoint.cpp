@@ -28,7 +28,7 @@ std::string HexBits(double value) {
   return os.str();
 }
 
-void WriteMoments(std::ostream& os, const Moments& m) {
+void WriteMoments(std::ostream& os, const util::Moments& m) {
   std::uint64_t sum_hi = 0, sum_lo = 0, sq_hi = 0, sq_lo = 0;
   SplitWords(m.raw_sum(), sum_hi, sum_lo);
   SplitWords(m.raw_sum_sq(), sq_hi, sq_lo);
@@ -36,7 +36,7 @@ void WriteMoments(std::ostream& os, const Moments& m) {
      << sq_hi << " " << sq_lo << "\n";
 }
 
-void WriteHistogram(std::ostream& os, const Histogram& h) {
+void WriteHistogram(std::ostream& os, const util::Histogram& h) {
   os << "h " << h.underflow() << " " << h.overflow();
   for (std::size_t b = 0; b < h.bins(); ++b) os << " " << h.bin_count(b);
   os << "\n";
@@ -220,17 +220,17 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
       cell.oracle_sampled = reader.Count(tokens[12]);
       cell.max_makespan_ms = std::bit_cast<double>(reader.Hex(tokens[13]));
 
-      auto read_moments = [&](Moments& m) {
+      auto read_moments = [&](util::Moments& m) {
         if (!reader.Next(tokens) || tokens.size() != 6 ||
             tokens[0] != "m") {
           reader.Fail("expected 'm <count> <sum hi lo> <sum_sq hi lo>'");
         }
-        m = Moments::FromRaw(
+        m = util::Moments::FromRaw(
             reader.Count(tokens[1]),
             JoinWords(reader.Count(tokens[2]), reader.Count(tokens[3])),
             JoinWords(reader.Count(tokens[4]), reader.Count(tokens[5])));
       };
-      auto read_histogram = [&](Histogram& h, double hi_edge) {
+      auto read_histogram = [&](util::Histogram& h, double hi_edge) {
         if (!reader.Next(tokens) ||
             tokens.size() != 3 + spec.bins || tokens[0] != "h") {
           reader.Fail("expected 'h <underflow> <overflow> <" +
@@ -240,8 +240,9 @@ CheckpointState LoadCheckpointImpl(std::istream& is,
         for (std::size_t b = 0; b < spec.bins; ++b) {
           counts[b] = reader.Count(tokens[3 + b]);
         }
-        h = Histogram::FromRaw(0.0, hi_edge, reader.Count(tokens[1]),
-                               reader.Count(tokens[2]), std::move(counts));
+        h = util::Histogram::FromRaw(0.0, hi_edge, reader.Count(tokens[1]),
+                                     reader.Count(tokens[2]),
+                                     std::move(counts));
       };
       read_moments(cell.energy);
       read_histogram(cell.energy_hist, spec.energy_max_mj);

@@ -100,15 +100,16 @@ void EmitRepro(const CampaignSpec& spec, const CampaignOptions& options,
                const faults::FaultPlan& plan, const util::Random& rng,
                const QuarantineRecord& rec) {
   if (options.quarantine_dir.empty()) return;
-  check::FuzzCase c{model.graph(), model.platform()};
-  c.policy = key.policy;
-  c.reschedule_mode = key.mode;
-  c.adaptive = true;
-  c.trace_instances = spec.trace_instances;
-  c.prob_seed = rng.Fork(3).engine().Next();
-  c.faults = plan;
+  check::FuzzCase c{.graph = model.graph(),
+                    .platform = model.platform(),
+                    .policy = key.policy,
+                    .prob_seed = rng.Fork(3).engine().Next(),
+                    .trace_instances = spec.trace_instances,
+                    .adaptive = true,
+                    .reschedule_mode = key.mode,
+                    .with_faults = !plan.Empty(),
+                    .faults = plan};
   c.faults.seed = FaultSeed(rng);
-  c.with_faults = !plan.Empty();
   util::AtomicFile file(options.quarantine_dir + "/quarantine-" +
                         std::to_string(spec.seed) + "-" +
                         std::to_string(i) + ".fuzzcase");

@@ -7,7 +7,7 @@
 /// instances serially through per-instance adaptive controllers (its
 /// own schedule cache and metrics registry, so shards never contend),
 /// and the shards run concurrently on a runtime::Pool. Results stream
-/// into mergeable accumulators (campaign/accumulator.h) — memory is
+/// into mergeable accumulators (util/accumulator.h) — memory is
 /// O(shards x cells x bins), independent of the population size.
 ///
 /// Determinism contract, in two strengths:
@@ -46,10 +46,10 @@
 #include <vector>
 
 #include "adaptive/rescheduler.h"
-#include "campaign/accumulator.h"
 #include "campaign/spec.h"
 #include "report/fleet_stats.h"
 #include "runtime/metrics.h"
+#include "util/accumulator.h"
 #include "util/error.h"
 
 namespace actg::campaign {
@@ -96,13 +96,13 @@ struct CellStats {
   double max_makespan_ms = 0.0;
 
   /// Per-app-instance total energy, mJ.
-  Moments energy;
-  Histogram energy_hist;
+  util::Moments energy;
+  util::Histogram energy_hist;
   /// Per-execution makespan, ms.
-  Moments makespan;
-  Histogram makespan_hist;
+  util::Moments makespan;
+  util::Histogram makespan_hist;
   /// Per-app-instance threshold reschedule count.
-  Moments resched_per_app;
+  util::Moments resched_per_app;
 
   void Merge(const CellStats& other);
 

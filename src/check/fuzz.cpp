@@ -374,11 +374,8 @@ Report RunCase(const FuzzCase& c) {
       }
       adaptive::AdaptiveController controller(c.graph, analysis,
                                               c.platform, probs, options);
-      if (injector.has_value()) {
-        adaptive::RunAdaptiveWithFaults(controller, trace, *injector);
-      } else {
-        adaptive::RunAdaptive(controller, trace);
-      }
+      adaptive::RunAdaptive(controller, trace,
+                            injector.has_value() ? &*injector : nullptr);
       report.Merge(CheckSchedule(controller.current_schedule(), expect));
     }
   } catch (const std::exception& e) {

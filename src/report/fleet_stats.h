@@ -59,7 +59,7 @@ struct FleetStats {
   /// Folds \p other in: counts and energy add, max_makespan_ms takes
   /// the max. Associative and commutative up to floating-point energy
   /// summation order; campaign shards that need bit-exact merge laws
-  /// accumulate energy in fixed point (campaign::Moments) and project
+  /// accumulate energy in fixed point (util::Moments) and project
   /// into FleetStats only at report time.
   void Merge(const FleetStats& other) {
     instances += other.instances;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -19,13 +18,9 @@ std::uint64_t TenantId(std::size_t index) {
   return static_cast<std::uint64_t>(index) + 1;
 }
 
-double NearestRank(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
-  const std::size_t index =
-      rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return samples[std::min(index, samples.size() - 1)];
+/// Registry name of one class's per-slice distribution / counter.
+std::string SlaMetric(SlaClass sla, const char* suffix) {
+  return "serve." + std::string(SlaLabel(sla)) + suffix;
 }
 
 }  // namespace
@@ -109,16 +104,11 @@ std::size_t Server::RunRound(std::size_t round,
   // so recording order is dispatch order, not completion order).
   for (std::size_t i = 0; i < dispatch.size(); ++i) {
     const SlaClass sla = dispatch[i]->sla();
-    const auto cls = static_cast<std::size_t>(sla);
-    latency_ms_[cls].push_back(slice_ms[i]);
-    metrics_->Observe(
-        "serve." + std::string(SlaLabel(sla)) + ".slice_latency_ms",
-        slice_ms[i]);
-    const double budget = fleet_.config.budget_ms[cls];
+    metrics_->Observe(SlaMetric(sla, ".slice_latency_ms"), slice_ms[i]);
+    const double budget =
+        fleet_.config.budget_ms[static_cast<std::size_t>(sla)];
     if (budget > 0.0 && slice_ms[i] > budget) {
-      ++budget_overruns_[cls];
-      metrics_->Increment("serve." + std::string(SlaLabel(sla)) +
-                          ".budget_overruns");
+      metrics_->Increment(SlaMetric(sla, ".budget_overruns"));
     }
   }
 
@@ -244,31 +234,27 @@ void Server::FinishReport() {
   // Deterministic per-class counters (the latency distributions above
   // are wall-clock and deliberately stay out of the report).
   for (std::size_t cls = 0; cls < kSlaClassCount; ++cls) {
-    const std::string label(SlaLabel(static_cast<SlaClass>(cls)));
-    metrics_->Increment("serve." + label + ".instances",
-                        report_.sla[cls].instances);
-    metrics_->Increment("serve." + label + ".deadline_misses",
-                        report_.sla[cls].deadline_misses);
-    metrics_->Increment("serve." + label + ".shed_tenants",
-                        report_.sla[cls].shed_tenants);
-    if (report_.sla[cls].quarantined_tenants > 0) {
-      metrics_->Increment("serve." + label + ".quarantined_tenants",
-                          report_.sla[cls].quarantined_tenants);
+    const auto sla = static_cast<SlaClass>(cls);
+    const SlaReport& agg = report_.sla[cls];
+    metrics_->Increment(SlaMetric(sla, ".instances"), agg.instances);
+    metrics_->Increment(SlaMetric(sla, ".deadline_misses"),
+                        agg.deadline_misses);
+    metrics_->Increment(SlaMetric(sla, ".shed_tenants"), agg.shed_tenants);
+    if (agg.quarantined_tenants > 0) {
+      metrics_->Increment(SlaMetric(sla, ".quarantined_tenants"),
+                          agg.quarantined_tenants);
     }
   }
 }
 
 LatencyStats Server::Latency(SlaClass sla) const {
-  const auto& samples = latency_ms_[static_cast<std::size_t>(sla)];
+  const std::string name = SlaMetric(sla, ".slice_latency_ms");
   LatencyStats stats;
-  stats.samples = samples.size();
-  stats.p50_ms = NearestRank(samples, 0.5);
-  stats.p99_ms = NearestRank(samples, 0.99);
-  stats.max_ms = samples.empty()
-                     ? 0.0
-                     : *std::max_element(samples.begin(), samples.end());
-  stats.budget_overruns =
-      budget_overruns_[static_cast<std::size_t>(sla)];
+  stats.samples = metrics_->samples(name);
+  stats.p50_ms = metrics_->quantile(name, 0.5);
+  stats.p99_ms = metrics_->quantile(name, 0.99);
+  stats.max_ms = metrics_->quantile(name, 1.0);
+  stats.budget_overruns = metrics_->counter(SlaMetric(sla, ".budget_overruns"));
   return stats;
 }
 

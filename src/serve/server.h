@@ -103,7 +103,7 @@ struct ServerOptions {
   std::size_t jobs = 1;
   /// Metrics registry for latency distributions, per-class counters and
   /// the controllers' reschedule counters; null = a server-private
-  /// registry (the daemon never pollutes Global() by default).
+  /// registry.
   runtime::Metrics* metrics = nullptr;
   /// Cooperative watchdog deadline for one session's dispatch-round
   /// slice, wall-clock milliseconds; 0 = off (the default — armed
@@ -128,7 +128,9 @@ class Server {
   runtime::ShardedScheduleCache& cache() { return *cache_; }
   runtime::Metrics& metrics() { return *metrics_; }
 
-  /// Wall-clock latency percentiles of \p sla over the completed run.
+  /// Wall-clock latency percentiles of \p sla over the completed run,
+  /// read from the registry ("serve.<class>.slice_latency_ms" and
+  /// ".budget_overruns"; a registry shared by servers holds their union).
   LatencyStats Latency(SlaClass sla) const;
 
   /// The live sessions in tenant-file order; a shed tenant's slot is
@@ -156,8 +158,6 @@ class Server {
   std::vector<bool> arrived_;
   std::vector<bool> quarantined_;  ///< retired by the watchdog
   std::vector<std::size_t> finish_round_;
-  std::array<std::vector<double>, kSlaClassCount> latency_ms_;
-  std::array<std::size_t, kSlaClassCount> budget_overruns_ = {0, 0, 0};
   FleetReport report_;
   bool ran_ = false;
 };

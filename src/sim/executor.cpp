@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "runtime/metrics.h"
 #include "util/error.h"
 
 namespace actg::sim {
@@ -109,51 +108,32 @@ InstanceResult ExecuteInstance(const sched::Schedule& schedule,
 void RunSummary::Add(const InstanceResult& r) {
   ++instances;
   total_energy_mj += r.energy_mj;
-  if (!r.deadline_met) {
-    ++deadline_misses;
-    runtime::Metrics::Global().Increment("sim.deadline_misses");
-  }
+  if (!r.deadline_met) ++deadline_misses;
   max_makespan_ms = std::max(max_makespan_ms, r.makespan_ms);
   total_overrun_ms += r.overrun_ms;
-  if (r.overrun_ms > 0.0) {
-    ++overrun_instances;
-    runtime::Metrics::Global().Increment("sim.overrun_instances");
-  }
+  if (r.overrun_ms > 0.0) ++overrun_instances;
   failed_pe_hits += r.failed_pe_hits;
-  if (r.faults_injected) {
-    ++faulted_instances;
-    runtime::Metrics::Global().Increment("faults.injected_instances");
-  }
+  if (r.faults_injected) ++faulted_instances;
 }
 
 RunSummary RunTrace(const sched::Schedule& schedule,
-                    const trace::BranchTrace& trace) {
+                    const trace::BranchTrace& trace,
+                    const faults::Injector* injector) {
   obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
   if (span.enabled()) {
     span.AddArg(obs::IntArg(
         "instances", static_cast<std::int64_t>(trace.size())));
+    if (injector != nullptr) span.AddArg(obs::StrArg("faults", "injected"));
   }
   RunSummary summary;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    summary.Add(ExecuteInstance(schedule, trace.At(i)));
-  }
-  return summary;
-}
-
-RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
-                              const trace::BranchTrace& trace,
-                              const faults::Injector& injector) {
-  obs::ScopedSpan span(obs::TraceSession::Current(), "sim.run", "sim");
-  if (span.enabled()) {
-    span.AddArg(obs::IntArg(
-        "instances", static_cast<std::int64_t>(trace.size())));
-    span.AddArg(obs::StrArg("faults", "injected"));
-  }
-  RunSummary summary;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const faults::InstanceFaults f = injector.ForInstance(i);
+    if (injector == nullptr) {
+      summary.Add(ExecuteInstance(schedule, trace.At(i)));
+      continue;
+    }
+    const faults::InstanceFaults f = injector->ForInstance(i);
     ctg::BranchAssignment assignment = trace.At(i);
-    injector.ApplyDrift(i, assignment);
+    injector->ApplyDrift(i, assignment);
     summary.Add(ExecuteInstance(schedule, assignment, &f));
   }
   return summary;

@@ -72,17 +72,17 @@ struct RunSummary : report::FleetStats {
 };
 
 /// Runs every instance of \p trace against a fixed schedule (the
-/// non-adaptive / "online" configuration of Section IV).
+/// non-adaptive / "online" configuration of Section IV). Touches no
+/// metrics registry: the summary is the whole result.
+///
+/// \p injector, when given, applies fault injection: each instance
+/// executes with the injector's effects for that index, after
+/// branch-profile drift is applied to a copy of the traced assignment.
+/// With an empty plan the summary equals the injector-free run's bit
+/// for bit.
 RunSummary RunTrace(const sched::Schedule& schedule,
-                    const trace::BranchTrace& trace);
-
-/// RunTrace under fault injection: each instance executes with
-/// \p injector's effects for that index, after branch-profile drift is
-/// applied to a copy of the traced assignment. With an empty plan the
-/// summary equals RunTrace's bit for bit.
-RunSummary RunTraceWithFaults(const sched::Schedule& schedule,
-                              const trace::BranchTrace& trace,
-                              const faults::Injector& injector);
+                    const trace::BranchTrace& trace,
+                    const faults::Injector* injector = nullptr);
 
 /// Converts a scenario minterm into a full branch assignment (forks the
 /// scenario leaves unresolved stay unset; they are inactive and their

@@ -61,11 +61,29 @@ TEST_F(AdaptiveFixture, AdaptsWhenDistributionShifts) {
               1e-12);
 }
 
-// The reentrancy contract: a controller with an injected registry
-// leaves the process-wide one untouched — through the initial schedule
-// (DLS, path enumeration, stretch) and every threshold reschedule.
-TEST_F(AdaptiveFixture, InjectedMetricsLeaveGlobalRegistryUntouched) {
-  const auto global_before = runtime::Metrics::Global().Counters();
+// The reentrancy contract: a controller without an injected registry
+// reports into a private one, so two such controllers never see each
+// other's counts — through the initial schedule (DLS, path enumeration,
+// stretch) and every threshold reschedule.
+TEST_F(AdaptiveFixture, RegistryLessControllersDoNotShareCounts) {
+  AdaptiveController busy = MakeController(0.2);
+  AdaptiveController idle = MakeController(0.2);
+  for (int i = 0; i < 10; ++i) busy.ProcessInstance(Assign(1, 0));
+  ASSERT_GE(busy.reschedule_count(), 1u);
+  EXPECT_NE(&busy.metrics(), &idle.metrics());
+  EXPECT_EQ(busy.metrics().counter("adaptive.reschedule_calls"),
+            busy.reschedule_count());
+  EXPECT_EQ(busy.metrics().samples("reschedule.latency_us"),
+            busy.reschedule_count() + 1);
+  // The idle controller saw its own initial schedule and nothing else.
+  EXPECT_EQ(idle.metrics().counter("adaptive.reschedule_calls"), 0u);
+  EXPECT_EQ(idle.metrics().samples("reschedule.latency_us"), 1u);
+}
+
+// The per-instance health counters land in the controller's registry
+// (not a process-wide one), so a host that injects a registry sees
+// every miss, overrun and fault of its controllers.
+TEST_F(AdaptiveFixture, InjectedRegistryReceivesInstanceCounters) {
   runtime::Metrics mine;
   AdaptiveOptions options;
   options.window_length = 8;
@@ -73,10 +91,19 @@ TEST_F(AdaptiveFixture, InjectedMetricsLeaveGlobalRegistryUntouched) {
   options.metrics = &mine;
   AdaptiveController ctrl(ex_.graph, analysis_, ex_.platform, ex_.probs,
                           options);
-  for (int i = 0; i < 10; ++i) ctrl.ProcessInstance(Assign(1, 0));
-  EXPECT_GE(ctrl.reschedule_count(), 1u);
-  EXPECT_EQ(runtime::Metrics::Global().Counters(), global_before);
-  EXPECT_FALSE(mine.Counters().empty());
+  EXPECT_EQ(&ctrl.metrics(), &mine);
+  ctrl.ProcessInstance(Assign(1, 0));
+  EXPECT_EQ(mine.counter("sim.deadline_misses"), 0u);
+
+  faults::InstanceFaults slow;
+  slow.any = true;
+  slow.task_time_factor.assign(ex_.graph.task_count(), 10.0);
+  const sim::InstanceResult result =
+      ctrl.ProcessInstance(Assign(1, 0), &slow);
+  ASSERT_FALSE(result.deadline_met);
+  EXPECT_EQ(mine.counter("sim.deadline_misses"), 1u);
+  EXPECT_EQ(mine.counter("sim.overrun_instances"), 1u);
+  EXPECT_EQ(mine.counter("faults.injected_instances"), 1u);
 }
 
 TEST_F(AdaptiveFixture, NoAdaptationWhenTraceMatchesProfile) {

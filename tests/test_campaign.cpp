@@ -9,21 +9,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "campaign/accumulator.h"
 #include "campaign/checkpoint.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "check/fuzz.h"
 #include "check/validator.h"
 #include "runtime/metrics.h"
+#include "util/accumulator.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -64,19 +66,19 @@ TEST(Moments, MergeIsBitExactlyAssociativeAndCommutative) {
                                       rng.UniformInt(0, 200)));
 
     // Reference: one accumulator folds everything in order.
-    Moments all;
+    util::Moments all;
     for (double x : xs) all.Observe(x);
 
     // Random split into up to 8 parts, merged in a random order.
     const int parts = rng.UniformInt(1, 8);
-    std::vector<Moments> shards(static_cast<std::size_t>(parts));
+    std::vector<util::Moments> shards(static_cast<std::size_t>(parts));
     for (double x : xs) {
       shards[static_cast<std::size_t>(rng.UniformInt(0, parts - 1))]
           .Observe(x);
     }
     const std::vector<std::size_t> order =
         rng.Permutation(shards.size());
-    Moments merged;
+    util::Moments merged;
     for (std::size_t idx : order) merged.Merge(shards[idx]);
 
     ASSERT_TRUE(merged == all) << "round " << round;
@@ -90,61 +92,113 @@ TEST(Moments, MergeIsBitExactlyAssociativeAndCommutative) {
 TEST(Moments, MergeGroupingDoesNotMatter) {
   util::Random rng(7);
   const std::vector<double> xs = FuzzObservations(rng, 100);
-  Moments a, b, c;
+  util::Moments a, b, c;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     (i % 3 == 0 ? a : i % 3 == 1 ? b : c).Observe(xs[i]);
   }
   // (a + b) + c vs a + (b + c).
-  Moments left = a;
+  util::Moments left = a;
   left.Merge(b);
   left.Merge(c);
-  Moments bc = b;
+  util::Moments bc = b;
   bc.Merge(c);
-  Moments right = a;
+  util::Moments right = a;
   right.Merge(bc);
   EXPECT_TRUE(left == right);
 }
 
-TEST(Histogram, MergeIsBitExactlyAssociativeAndCommutative) {
-  util::Random rng(99);
-  for (int round = 0; round < 50; ++round) {
-    const double hi = rng.Uniform(1.0, 1000.0);
-    const std::size_t bins =
-        static_cast<std::size_t>(rng.UniformInt(1, 64));
-    std::vector<double> xs;
-    const int n = rng.UniformInt(1, 300);
+/// One random histogram layout with an observation sample that hits
+/// its underflow and overflow bins: uniform over a random [0, hi) with
+/// 1-64 bins, or the fixed log layout over values spanning 1e-6 - 1e7
+/// (plus zeros, negatives and +inf).
+struct LayoutCase {
+  util::Histogram empty;
+  std::vector<double> xs;
+};
+
+LayoutCase RandomLayoutCase(util::Random& rng, bool log) {
+  const int n = rng.UniformInt(1, 300);
+  if (log) {
+    LayoutCase c{util::Histogram::Log(), {}};
     for (int i = 0; i < n; ++i) {
-      // Include under/overflow on purpose.
-      xs.push_back(rng.Uniform(-0.5 * hi, 1.5 * hi));
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+          c.xs.push_back(rng.Uniform(-1.0, 0.0));
+          break;
+        case 1:
+          c.xs.push_back(std::numeric_limits<double>::infinity());
+          break;
+        default:
+          c.xs.push_back(std::pow(10.0, rng.Uniform(-6.0, 7.0)));
+          break;
+      }
     }
+    return c;
+  }
+  const double hi = rng.Uniform(1.0, 1000.0);
+  const auto bins = static_cast<std::size_t>(rng.UniformInt(1, 64));
+  LayoutCase c{util::Histogram(0.0, hi, bins), {}};
+  for (int i = 0; i < n; ++i) {
+    c.xs.push_back(rng.Uniform(-0.5 * hi, 1.5 * hi));
+  }
+  return c;
+}
 
-    Histogram all(0.0, hi, bins);
-    for (double x : xs) all.Observe(x);
+TEST(Histogram, MergeIsBitExactlyAssociativeAndCommutative) {
+  for (const bool log : {false, true}) {
+    SCOPED_TRACE(log ? "log layout" : "uniform layout");
+    util::Random rng(99);
+    for (int round = 0; round < 50; ++round) {
+      const LayoutCase c = RandomLayoutCase(rng, log);
+      util::Histogram all = c.empty;
+      for (double x : c.xs) all.Observe(x);
 
-    const int parts = rng.UniformInt(1, 6);
-    std::vector<Histogram> shards(static_cast<std::size_t>(parts),
-                                  Histogram(0.0, hi, bins));
-    for (double x : xs) {
-      shards[static_cast<std::size_t>(rng.UniformInt(0, parts - 1))]
-          .Observe(x);
+      // Random shard split, merged in a random order.
+      const int parts = rng.UniformInt(1, 6);
+      std::vector<util::Histogram> shards(static_cast<std::size_t>(parts),
+                                          c.empty);
+      for (double x : c.xs) {
+        shards[static_cast<std::size_t>(rng.UniformInt(0, parts - 1))]
+            .Observe(x);
+      }
+      util::Histogram merged = c.empty;
+      for (std::size_t idx : rng.Permutation(shards.size())) {
+        merged.Merge(shards[idx]);
+      }
+
+      ASSERT_TRUE(merged == all) << "round " << round;
+      EXPECT_EQ(merged.count(), c.xs.size());
+      EXPECT_EQ(merged.Quantile(0.5), all.Quantile(0.5));
+      EXPECT_EQ(merged.Quantile(0.99), all.Quantile(0.99));
     }
-    Histogram merged(0.0, hi, bins);
-    for (std::size_t idx : rng.Permutation(shards.size())) {
-      merged.Merge(shards[idx]);
-    }
-
-    ASSERT_TRUE(merged == all) << "round " << round;
-    EXPECT_EQ(merged.Quantile(0.5), all.Quantile(0.5));
-    EXPECT_EQ(merged.Quantile(0.99), all.Quantile(0.99));
   }
 }
 
+TEST(Histogram, LogLayoutAllocatesOnlyTheTouchedSpan) {
+  util::Histogram h = util::Histogram::Log();
+  EXPECT_EQ(h.bins(), 0u);
+  h.Observe(1.0);
+  EXPECT_EQ(h.bins(), 1u);
+  // One octave up is exactly 2^kLogMantissaBits bins further.
+  h.Observe(2.0);
+  EXPECT_EQ(h.bins(), (1u << util::Histogram::kLogMantissaBits) + 1);
+  h.Observe(1.5);
+  h.Observe(0.0);
+  EXPECT_EQ(h.bins(), (1u << util::Histogram::kLogMantissaBits) + 1);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.Quantile(0.0), 0.0);
+  EXPECT_NEAR(h.Quantile(1.0), 2.0, 0.01 * 2.0);
+}
+
 TEST(Histogram, MergeRejectsMismatchedLayouts) {
-  Histogram a(0.0, 10.0, 4);
-  Histogram b(0.0, 10.0, 8);
-  Histogram c(0.0, 20.0, 4);
+  util::Histogram a(0.0, 10.0, 4);
+  util::Histogram b(0.0, 10.0, 8);
+  util::Histogram c(0.0, 20.0, 4);
+  util::Histogram log = util::Histogram::Log();
   EXPECT_THROW(a.Merge(b), InvalidArgument);
   EXPECT_THROW(a.Merge(c), InvalidArgument);
+  EXPECT_THROW(a.Merge(log), InvalidArgument);
+  EXPECT_THROW(log.Merge(a), InvalidArgument);
 }
 
 // ------------------------------------------------------ Spec parsing
@@ -821,7 +875,35 @@ TEST(MetricsMerge, CountersTimersAndObservationsFold) {
   a.MergeFrom(b);
   EXPECT_EQ(a.counter("x"), 5u);
   EXPECT_EQ(a.counter("y"), 1u);
-  EXPECT_DOUBLE_EQ(a.quantile("lat", 1.0), 3.0);
+  EXPECT_EQ(a.samples("lat"), 2u);
+  EXPECT_NEAR(a.quantile("lat", 1.0), 3.0, 0.01 * 3.0);
+}
+
+TEST(MetricsMerge, AnyMergeOrderYieldsEqualDistributions) {
+  util::Random rng(5);
+  for (int round = 0; round < 20; ++round) {
+    // Shard registries with overlapping and disjoint distributions.
+    const int parts = rng.UniformInt(1, 6);
+    std::vector<std::unique_ptr<runtime::Metrics>> shards;
+    runtime::Metrics all;
+    for (int p = 0; p < parts; ++p) {
+      shards.push_back(std::make_unique<runtime::Metrics>());
+      for (int i = rng.UniformInt(0, 100); i > 0; --i) {
+        const std::string name = rng.UniformInt(0, 1) == 0 ? "a" : "b";
+        const double us = std::pow(10.0, rng.Uniform(0.0, 7.0));
+        shards.back()->Observe(name, us);
+        all.Observe(name, us);
+      }
+    }
+    runtime::Metrics merged;
+    for (std::size_t idx : rng.Permutation(shards.size())) {
+      merged.MergeFrom(*shards[idx]);
+    }
+    for (const char* name : {"a", "b"}) {
+      EXPECT_TRUE(merged.distribution(name) == all.distribution(name))
+          << "round " << round << " " << name;
+    }
+  }
 }
 
 TEST(MetricsMerge, SelfMergeIsRejected) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -193,6 +194,37 @@ TEST_F(InjectorFixture, EmptyPlanNeverPerturbs) {
   }
 }
 
+// An empty plan through the optional injector of RunTrace / RunAdaptive
+// reproduces the injector-free runs bit for bit.
+TEST_F(InjectorFixture, EmptyPlanRunsEqualInjectorFreeRuns) {
+  const Injector off(FullPlan(0.0), ex_.graph, ex_.platform, 7);
+  const trace::BranchTrace vectors =
+      bench::MakeFluctuatingVectors(ex_.graph, 200, 3);
+  const auto summary_bits = [](const sim::RunSummary& s) {
+    std::uint64_t energy = 0, makespan = 0;
+    std::memcpy(&energy, &s.total_energy_mj, sizeof(double));
+    std::memcpy(&makespan, &s.max_makespan_ms, sizeof(double));
+    return std::vector<std::uint64_t>{
+        energy, makespan, s.instances, s.deadline_misses,
+        s.overrun_instances, s.faulted_instances, s.failed_pe_hits};
+  };
+
+  const sched::Schedule schedule =
+      sched::RunDls(ex_.graph, analysis_, ex_.platform, ex_.probs);
+  EXPECT_EQ(summary_bits(sim::RunTrace(schedule, vectors, &off)),
+            summary_bits(sim::RunTrace(schedule, vectors)));
+
+  adaptive::AdaptiveOptions options;
+  options.threshold = 0.1;
+  adaptive::AdaptiveController plain(ex_.graph, analysis_, ex_.platform,
+                                     ex_.probs, options);
+  adaptive::AdaptiveController injected(ex_.graph, analysis_,
+                                        ex_.platform, ex_.probs, options);
+  EXPECT_EQ(summary_bits(adaptive::RunAdaptive(injected, vectors, &off)),
+            summary_bits(adaptive::RunAdaptive(plain, vectors)));
+  EXPECT_EQ(injected.reschedule_count(), plain.reschedule_count());
+}
+
 TEST_F(InjectorFixture, DropoutWindowsCoverConsecutiveInstances) {
   FaultPlan plan;
   plan.dropout.probability = 0.2;
@@ -337,8 +369,7 @@ TEST(DegradeDeterminism, JobsOneVersusFourSameLadderAndTimeline) {
           const Injector injector(FullPlan(), ex.graph, ex.platform,
                                   9000 + unit);
           const sim::RunSummary summary =
-              adaptive::RunAdaptiveWithFaults(controller, vectors,
-                                              injector);
+              adaptive::RunAdaptive(controller, vectors, &injector);
           UnitOutcome outcome;
           std::memcpy(&outcome.energy_bits, &summary.total_energy_mj,
                       sizeof(double));
